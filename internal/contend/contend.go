@@ -28,18 +28,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
-	"time"
 
-	"see/internal/chaos"
 	"see/internal/graph"
 	"see/internal/qnet"
 	"see/internal/sched"
 	"see/internal/segment"
-	"see/internal/state"
 	"see/internal/topo"
-	"see/internal/warm"
 )
 
 // Weights for the candidate-path enumeration on the segment graph, shared
@@ -50,8 +45,14 @@ const (
 	rejectThreshold  = 1e11
 )
 
-// Options tunes the contention-aware engine.
+// Options tunes the contention-aware engine. The embedded
+// sched.EngineOptions carry the knobs every engine shares; their zero
+// Algorithm means sched.Contend (the fault-aware and offline variants
+// built in internal/engines override it), and PlanChannels / PlanMemory,
+// when set, seed the selection loop's residual capacities and the per-pair
+// connection caps.
 type Options struct {
+	sched.EngineOptions
 	// Segment tunes candidate enumeration; the zero value uses the SEE
 	// defaults (hop cap 10) so the engine plans over the same segment
 	// catalogue as the LP engines it is compared against.
@@ -63,31 +64,6 @@ type Options struct {
 	// recovery realization of each planned hop (default 1; 0 disables
 	// recovery paths entirely).
 	RecoveryAttempts int
-	// Tracer observes the slot pipeline; nil means no instrumentation.
-	Tracer sched.Tracer
-	// Chaos injects deterministic faults into the physical phase; see the
-	// matching field in core.Options.
-	Chaos *chaos.Injector
-	// Algorithm is the scheme label the engine reports through
-	// Engine.Algorithm and the Tracer. The zero value is sched.Contend;
-	// the fault-aware (sched.ContendAware) and offline (sched.QPass)
-	// variants built in internal/engines override it.
-	Algorithm sched.Algorithm
-	// PlanChannels / PlanMemory, when non-nil, replace the network's
-	// capacity tables as the starting residuals of the selection loop (and
-	// the per-pair connection caps), so announced outages and brownouts
-	// are subtracted from c_uv and m_u before any candidate is scored. The
-	// physical phase keeps the true topology. See core.Options.
-	PlanChannels []int
-	PlanMemory   []int
-	// ForecastAvoided is the number of announced elements the planner
-	// routes around; when positive it is reported every slot as
-	// sched.IncidentForecastAvoid.
-	ForecastAvoided int
-	// Warm, when non-nil, memoizes the segment-candidate set across engine
-	// (re)builds over the same network (see internal/warm). The engine
-	// solves no LP, so the candidate build is the only cacheable stage.
-	Warm *warm.Cache
 	// Offline switches planning to the Q-PASS-style offline mode: every
 	// candidate path is scored once against the full fault-free topology
 	// (no contention re-scoring), paths are provisioned in round-robin
@@ -95,14 +71,6 @@ type Options struct {
 	// charging, and the forecast is never consulted. The contrast baseline
 	// for the fault-aware variants.
 	Offline bool
-	// FidelityFloors is the per-request minimum delivered end-to-end
-	// fidelity; the stitch loop never attempts an assembly whose predicted
-	// fidelity misses its pair's floor (see qnet.FloorPolicy and the
-	// matching field in core.Options). Nil or all-zero disables it.
-	FidelityFloors *qnet.FloorSpec
-	// SwapOrder selects the stitch phase's swap schedule; the zero value
-	// (qnet.SwapOrderPath) is the historical left-to-right order.
-	SwapOrder qnet.SwapOrder
 }
 
 // DefaultOptions returns the contention-aware defaults.
@@ -135,6 +103,15 @@ type plannedPath struct {
 	score     float64
 }
 
+// fixed is the path as the slot frame's fixed-path stitch sees it.
+func (pp plannedPath) fixed() sched.FixedPath {
+	fp := sched.FixedPath{Commodity: pp.commodity, Nodes: pp.nodes}
+	for _, h := range pp.hops {
+		fp.Hops = append(fp.Hops, h.pair)
+	}
+	return fp
+}
+
 // Engine runs contention-aware time slots over a fixed network and
 // workload.
 type Engine struct {
@@ -149,37 +126,20 @@ type Engine struct {
 	recovery qnet.AttemptPlan
 	expected float64
 
-	opts   Options
-	tracer sched.Tracer
-	// bank is the optional cross-slot segment bank; nil keeps the engine
-	// memoryless (see the matching field in core.Engine).
-	bank *state.Bank
-	// slot is the reusable per-slot scratch (attempt ordering, segment
-	// pool, availability and per-pair counters); the same lifetime rule as
-	// core.slotScratch applies — nothing in it may outlive the slot.
-	slot *slotScratch
+	opts Options
+	// avail is the recovery pass's per-slot count of realized segments per
+	// endpoint pair; nothing in it outlives the slot.
+	avail map[segment.PairKey]int
+
+	// Frame runs the slot lifecycle around the fixed plan and the recovery
+	// pass and provides the Stateful and Checkpointable capabilities.
+	sched.Frame
 }
 
-// slotScratch holds the contention engine's per-slot reusable buffers.
-type slotScratch struct {
-	att     qnet.AttemptScratch
-	pool    *qnet.Pool
-	perPair []int
-	avail   map[segment.PairKey]int
-}
-
-// scratch returns the engine's slot scratch, creating it on first use.
-func (e *Engine) scratch() *slotScratch {
-	if e.slot == nil {
-		e.slot = &slotScratch{
-			perPair: make([]int, len(e.Pairs)),
-			avail:   make(map[segment.PairKey]int),
-		}
-	}
-	return e.slot
-}
-
-var _ sched.Stateful = (*Engine)(nil)
+var (
+	_ sched.Stateful       = (*Engine)(nil)
+	_ sched.Checkpointable = (*Engine)(nil)
+)
 
 // NewEngine enumerates candidate paths and fixes the contention-aware
 // plan. Like the greedy engine it solves no LP, so construction needs no
@@ -227,9 +187,16 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, e
 		Set:     set,
 		ConnCap: connCap,
 		opts:    opts,
-		tracer:  sched.OrNop(opts.Tracer),
+		avail:   make(map[segment.PairKey]int),
 	}
 	e.buildPlan()
+	fixed := make([]sched.FixedPath, len(e.paths))
+	for i, pp := range e.paths {
+		fixed[i] = pp.fixed()
+	}
+	steps := sched.FixedSteps(e.UpperBound, fixed, e.plan, e.recovery, connCap)
+	steps.Recover = e.recoverStep
+	e.Init(net, len(pairs), opts.EngineOptions, set.CandidateFor, steps)
 	return e, nil
 }
 
@@ -581,227 +548,45 @@ func (e *Engine) buildPlanOffline() {
 	}
 }
 
-// RunSlot simulates one time slot: attempt the fixed primary plan, fire
-// reserved recovery attempts for hops whose primaries all failed, then
-// assemble the planned paths from realized segments (retrying on redundant
-// segments like the other engines).
-func (e *Engine) RunSlot(rng *rand.Rand) (*sched.SlotResult, error) {
-	tr := e.tracer
-	traced := !sched.IsNop(tr)
-	tr.SlotStart(e.opts.Algorithm)
-	res := &sched.SlotResult{
-		LPObjective:      e.expected,
-		PlannedPaths:     len(e.paths),
-		ProvisionedPaths: len(e.paths),
-		PerPair:          make([]int, len(e.Pairs)),
-	}
-
-	var fm qnet.FaultModel
-	faultsBefore := 0
-	var countsBefore chaos.Counts
-	if e.opts.Chaos.Active() {
-		countsBefore = e.opts.Chaos.Counts()
-		e.opts.Chaos.BeginSlot()
-		faultsBefore = e.opts.Chaos.Counts().Total()
-		fm = e.opts.Chaos
-	}
-	if e.opts.ForecastAvoided > 0 {
-		tr.Incident(sched.IncidentForecastAvoid, e.opts.ForecastAvoided)
-	}
-
-	// Cross-slot state: withdraw surviving carried segments and trim their
-	// endpoint pairs out of the fixed primary plan (the cached e.plan is
-	// never mutated). With no bank, plan aliases e.plan and the slot is
-	// byte-identical to the memoryless path.
-	plan := e.plan
-	var withdrawn []*qnet.Segment
-	if e.bank != nil {
-		if expired, decohered := e.bank.BeginSlot(); expired+decohered > 0 {
-			tr.Incident(sched.IncidentBankDecohered, expired+decohered)
-		}
-		if withdrawn = e.bank.WithdrawAll(); len(withdrawn) > 0 {
-			tr.Incident(sched.IncidentBankWithdraw, len(withdrawn))
-		}
-		plan, _ = e.bank.TrimPlan(plan, withdrawn)
-	}
-	res.Attempts = plan.TotalAttempts() + e.recovery.TotalAttempts()
-
-	t0 := time.Now()
-	if traced {
-		for _, pp := range e.paths {
-			tr.PathPlanned(pp.commodity, len(pp.hops))
-		}
-	}
-	tr.PhaseDone(sched.PhasePlan, time.Since(t0))
-
-	t0 = time.Now()
-	if traced {
-		for _, pp := range e.paths {
-			tr.PathProvisioned(pp.commodity)
-		}
-		for _, c := range plan.SortedCandidates() {
-			tr.AttemptReserved(c.U(), c.V(), plan[c])
-		}
-		for _, c := range e.recovery.SortedCandidates() {
-			tr.AttemptReserved(c.U(), c.V(), e.recovery[c])
-		}
-	}
-	tr.PhaseDone(sched.PhaseReserve, time.Since(t0))
-
-	t0 = time.Now()
-	var attemptObs qnet.AttemptObserver
-	if traced {
-		attemptObs = func(c *segment.Candidate, ok bool) {
-			tr.AttemptResolved(c.U(), c.V(), ok)
-		}
-	}
-	sc := e.scratch()
-	created := qnet.AttemptAllFaultyScratch(plan, rng, fm, attemptObs, &sc.att)
-	res.SegmentsCreated = len(created)
-	created, _ = qnet.ApplyDecoherence(created, fm)
-
-	// Recovery pass: count the surviving segments per endpoint pair
-	// (withdrawn carried segments count too) and fire the reserved
-	// recovery attempts of hops left with nothing, in deterministic path
-	// order. Recovery segments face the same decoherence stream.
-	avail := sc.avail
+// recoverStep is the recovery pass of the physical phase: it counts the
+// surviving segments per endpoint pair (withdrawn carried segments count
+// too) and fires the reserved recovery attempts of hops left with nothing,
+// in deterministic path order. Recovery segments face the same
+// decoherence stream as the primaries.
+func (e *Engine) recoverStep(s *sched.Slot, created []*qnet.Segment) []*qnet.Segment {
+	avail := e.avail
 	clear(avail)
-	for _, s := range withdrawn {
-		avail[s.Pair()]++
+	for _, seg := range s.Withdrawn {
+		avail[seg.Pair()]++
 	}
-	for _, s := range created {
-		avail[s.Pair()]++
+	for _, seg := range created {
+		avail[seg.Pair()]++
 	}
-	recoveryFired := 0
+	fired := 0
 	for _, pp := range e.paths {
 		for _, h := range pp.hops {
 			if h.recovery == nil || avail[h.pair] > 0 {
 				continue
 			}
-			recoveryFired += h.recAttempts
-			recCreated := qnet.AttemptAllFaulty(qnet.AttemptPlan{h.recovery: h.recAttempts}, rng, fm, attemptObs)
-			res.SegmentsCreated += len(recCreated)
-			recCreated, _ = qnet.ApplyDecoherence(recCreated, fm)
-			for _, s := range recCreated {
-				avail[s.Pair()]++
+			fired += h.recAttempts
+			rec := qnet.AttemptAllFaulty(qnet.AttemptPlan{h.recovery: h.recAttempts}, s.Rng, s.Faults, s.Observe)
+			s.Result.SegmentsCreated += len(rec)
+			rec, _ = qnet.ApplyDecoherence(rec, s.Faults)
+			for _, seg := range rec {
+				avail[seg.Pair()]++
 			}
-			created = append(created, recCreated...)
+			created = append(created, rec...)
 		}
 	}
-	if recoveryFired > 0 {
-		tr.Incident(sched.IncidentRecovery, recoveryFired)
+	if fired > 0 {
+		s.Tracer.Incident(sched.IncidentRecovery, fired)
 	}
-	if fm != nil {
-		// Attribute the slot's damage (see the matching block in
-		// internal/core): brownout denials and flap downs get their own
-		// incident kinds, the rest stays IncidentFault.
-		da := e.opts.Chaos.Counts().Sub(countsBefore)
-		if d := e.opts.Chaos.Counts().Total() - faultsBefore - da.BrownoutAttemptsLost; d > 0 {
-			tr.Incident(sched.IncidentFault, d)
-		}
-		if da.FlapSlotsDown > 0 {
-			tr.Incident(sched.IncidentFlap, da.FlapSlotsDown)
-		}
-		if da.BrownoutAttemptsLost > 0 {
-			tr.Incident(sched.IncidentBrownout, da.BrownoutAttemptsLost)
-		}
-	}
-	tr.PhaseDone(sched.PhasePhysical, time.Since(t0))
-
-	// Stitch: withdrawn carried segments join the pool ahead of the fresh
-	// ones so the oldest photons are consumed preferentially.
-	t0 = time.Now()
-	slotSegs := append(withdrawn, created...)
-	if sc.pool == nil {
-		sc.pool = qnet.NewPool(slotSegs)
-	} else {
-		sc.pool.Reset(slotSegs)
-	}
-	pool := sc.pool
-	swapObs := qnet.SwapObserver(tr.SwapResolved)
-	perPair := sc.perPair
-	clear(perPair)
-	fp := qnet.NewFloorPolicy(e.opts.FidelityFloors, e.Net)
-	var floorDead []bool // planned paths proven unable to meet their floor
-	for {
-		progress := false
-		for ppi, pp := range e.paths {
-			if perPair[pp.commodity] >= e.ConnCap[pp.commodity] {
-				continue
-			}
-			if floorDead != nil && floorDead[ppi] {
-				continue
-			}
-			ok := true
-			for _, h := range pp.hops {
-				if pool.Available(h.pair) < 1 {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			conn := &qnet.Connection{Pair: pp.commodity, Nodes: pp.nodes}
-			for _, h := range pp.hops {
-				conn.Segments = append(conn.Segments, fp.Take(pool, pp.commodity, h.pair))
-			}
-			if fp.Rejects(pp.commodity, conn.Segments) {
-				for _, s := range conn.Segments {
-					pool.Return(s)
-				}
-				if floorDead == nil {
-					floorDead = make([]bool, len(e.paths))
-				}
-				floorDead[ppi] = true
-				res.FloorRejected++
-				tr.Incident(sched.IncidentFloorReject, 1)
-				continue
-			}
-			res.Assembled++
-			progress = true
-			ok = conn.EstablishOrderedObserved(e.Net, pool, rng, swapObs, e.opts.SwapOrder)
-			tr.ConnectionAssembled(pp.commodity, ok)
-			if ok {
-				if err := conn.Validate(); err != nil {
-					return nil, fmt.Errorf("contend: invalid connection: %w", err)
-				}
-				res.Established++
-				res.PerPair[pp.commodity]++
-				res.Connections = append(res.Connections, conn)
-				perPair[pp.commodity]++
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-	// Cross-slot state: bank the slot's unconsumed leftovers for the next
-	// slot, within each node's memory budget.
-	if e.bank != nil {
-		if accepted := e.bank.Deposit(pool.Unconsumed()); accepted > 0 {
-			tr.Incident(sched.IncidentBankDeposit, accepted)
-		}
-	}
-	tr.PhaseDone(sched.PhaseStitch, time.Since(t0))
-	tr.SlotEnd(res)
-	return res, nil
+	return created
 }
-
-// Algorithm identifies the scheme (sched.Contend unless overridden by
-// Options.Algorithm for the fault-aware and offline variants).
-func (e *Engine) Algorithm() sched.Algorithm { return e.opts.Algorithm }
 
 // UpperBound returns the heuristic expected established count of the fixed
 // plan (not an LP bound — the engine solves none).
 func (e *Engine) UpperBound() float64 { return e.expected }
-
-// AttachBank implements sched.Stateful: it installs the cross-slot segment
-// bank (nil detaches, restoring memoryless behavior).
-func (e *Engine) AttachBank(b *state.Bank) { e.bank = b }
-
-// Bank implements sched.Stateful.
-func (e *Engine) Bank() *state.Bank { return e.bank }
 
 // PlannedPathCount reports how many entanglement paths the contention-aware
 // selection accepted (diagnostics for tests and tools).

@@ -66,7 +66,7 @@ func (e *Engine) establishFromPoolScratch(provisioned []PlannedPath, pool *qnet.
 		perPair = make([]int, len(e.Pairs))
 	}
 	var out []*qnet.Connection
-	tr := e.tracer
+	tr := e.opts.Tracer
 	swapObs := qnet.SwapObserver(tr.SwapResolved)
 	fp := qnet.NewFloorPolicy(e.opts.FidelityFloors, e.Net)
 	var floorDead []bool // provisioned paths proven unable to meet their floor

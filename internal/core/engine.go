@@ -21,20 +21,19 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
-	"see/internal/chaos"
 	"see/internal/flow"
 	"see/internal/qnet"
 	"see/internal/sched"
 	"see/internal/segment"
-	"see/internal/state"
 	"see/internal/topo"
-	"see/internal/warm"
 )
 
-// Options configures a SEE engine.
+// Options configures a SEE engine. The embedded sched.EngineOptions carry
+// the knobs every engine shares; their Algorithm defaults to sched.SEE, and
+// the E2E and SEE-Aware variants built in internal/engines override it.
 type Options struct {
+	sched.EngineOptions
 	// Segment tunes candidate enumeration (hop cap, K paths, pruning).
 	Segment segment.Options
 	// Flow tunes the LP relaxation solve.
@@ -45,50 +44,6 @@ type Options struct {
 	// paths whose segments each received at least one attempt, which is
 	// strictly better in resource-starved networks.
 	StrictProvisioning bool
-	// Algorithm is the scheme label the engine reports through
-	// Engine.Algorithm and the Tracer. The zero value is sched.SEE;
-	// restricted variants built on this engine (internal/e2e) override it.
-	Algorithm sched.Algorithm
-	// Tracer observes the slot pipeline; nil means no instrumentation.
-	Tracer sched.Tracer
-	// Chaos injects deterministic faults into the physical phase (blocked
-	// routes, memory decoherence); nil or a zero-plan injector leaves the
-	// engine byte-identical to a run without any chaos layer. The
-	// controller stays unaware of outages: planning and reservation are
-	// untouched, attempts over down routes simply fail — unless the
-	// fault-aware fields below are set.
-	Chaos *chaos.Injector
-	// PlanChannels / PlanMemory, when non-nil, replace the network's
-	// capacity tables in every planning decision — LP right-hand sides,
-	// connection caps and the ESC reservation ledger — while the physical
-	// phase keeps the true topology. The fault-aware builder (see-aware in
-	// internal/engines) derives them from chaos.Forecast, so planning on
-	// the full topology with announced outages is byte-identical to
-	// planning on the equivalent pre-shrunk topology.
-	PlanChannels []int
-	PlanMemory   []int
-	// ForecastAvoided is the number of announced elements the planner
-	// routes around; when positive it is reported every slot as
-	// sched.IncidentForecastAvoid.
-	ForecastAvoided int
-	// Warm, when non-nil, memoizes segment sets and LP solutions across
-	// engine (re)builds over the same network (see internal/warm). Replayed
-	// artifacts are byte-identical to cold builds; the cache is bypassed
-	// entirely for budgeted construction (non-nil ctx) so degradation
-	// behavior is cache-independent.
-	Warm *warm.Cache
-	// FidelityFloors is the per-request minimum delivered end-to-end
-	// fidelity. ECE never attempts an assembly whose predicted fidelity
-	// (qnet.FidelityModel.PredictFidelity over the exact segments it would
-	// consume) misses the pair's floor; for floored pairs it picks the
-	// highest-fidelity available segment per hop, so a rejection proves no
-	// composition can pass and the path (phase A) or pair (phase B) is
-	// floor-dead for the rest of the slot. Nil or all-zero disables
-	// enforcement and is byte-identical to pre-floor behavior.
-	FidelityFloors *qnet.FloorSpec
-	// SwapOrder selects the stitch phase's swap schedule; the zero value
-	// (qnet.SwapOrderPath) is the historical left-to-right order.
-	SwapOrder qnet.SwapOrder
 	// CarryAwareLP re-prices the LP at the start of any slot that
 	// withdrew banked segments, dividing each segment edge's pricing cost
 	// by a weight grown with the banked inventory covering it (see
@@ -124,12 +79,11 @@ type Engine struct {
 	// ConnCap is the per-pair connection cap N_i.
 	ConnCap []int
 
-	opts   Options
-	tracer sched.Tracer
-	// bank is the optional cross-slot segment bank; nil (the default)
-	// keeps the engine memoryless and byte-identical to pre-carry-over
-	// behavior.
-	bank *state.Bank
+	// Frame runs the slot lifecycle around the engine's EPI, ESC and ECE
+	// steps and provides the Stateful and Checkpointable capabilities.
+	sched.Frame
+
+	opts Options
 	// slot is the reusable per-slot scratch (see scratch.go); epiPaths and
 	// epiWeights are the lazily derived EPI tables of the fixed LP.
 	slot       *slotScratch
@@ -142,7 +96,10 @@ type Engine struct {
 	carryArena flow.Arena
 }
 
-var _ sched.Stateful = (*Engine)(nil)
+var (
+	_ sched.Stateful       = (*Engine)(nil)
+	_ sched.Checkpointable = (*Engine)(nil)
+)
 
 // NewEngine builds the candidate set and solves the LP relaxation.
 func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, error) {
@@ -204,15 +161,22 @@ func NewEngineCtx(ctx context.Context, net *topo.Network, pairs []topo.SDPair, o
 	if err != nil {
 		return nil, fmt.Errorf("core: solving LP relaxation: %w", err)
 	}
-	return &Engine{
+	opts.Tracer = sched.OrNop(opts.Tracer)
+	e := &Engine{
 		Net:     net,
 		Pairs:   pairs,
 		Set:     set,
 		LP:      sol,
 		ConnCap: connCap,
 		opts:    opts,
-		tracer:  sched.OrNop(opts.Tracer),
-	}, nil
+	}
+	e.Init(net, len(pairs), opts.EngineOptions, set.CandidateFor, sched.Steps{
+		Bound:   e.UpperBound,
+		Plan:    e.planStep,
+		Reserve: e.reserveStep,
+		Stitch:  e.stitchStep,
+	})
+	return e, nil
 }
 
 // SlotPlan is the controller's decision for one time slot (steps i–ii of
@@ -228,7 +192,8 @@ type SlotPlan struct {
 }
 
 // PlanSlot runs EPI + ESC and returns the slot plan. The protocol layer
-// uses it to drive the distributed execution; RunSlot uses it directly.
+// uses it to drive the distributed execution; RunSlot runs the same two
+// steps through the slot frame.
 func (e *Engine) PlanSlot(rng *rand.Rand) (*SlotPlan, error) {
 	planned := e.identifyPaths(rng)
 	plan, provisioned, err := e.createSegmentsPlan(planned)
@@ -238,165 +203,55 @@ func (e *Engine) PlanSlot(rng *rand.Rand) (*SlotPlan, error) {
 	return &SlotPlan{Planned: planned, Provisioned: provisioned, Attempts: plan}, nil
 }
 
-// RunSlot simulates one time slot. The rng drives EPI rounding, the
-// physical phase and swapping; a fixed rng state reproduces the slot
-// exactly (tracers observe outcomes but never consume randomness).
-func (e *Engine) RunSlot(rng *rand.Rand) (*sched.SlotResult, error) {
-	tr := e.tracer
-	// Tracer-only work (per-event callbacks and the sort feeding the
-	// reservation events) is skipped entirely under a no-op tracer; the
-	// rng stream is identical either way, so traced and bare runs of the
-	// same seed produce the same slot.
-	traced := !sched.IsNop(tr)
-	tr.SlotStart(e.opts.Algorithm)
-	res := &sched.SlotResult{
-		LPObjective: e.LP.Objective,
-		PerPair:     make([]int, len(e.Pairs)),
-	}
-
-	// Chaos: advance the injector's slot clock. With a nil or zero-plan
-	// injector fm stays nil and every fault check below short-circuits, so
-	// the slot is byte-identical to a run without the chaos layer.
-	var fm qnet.FaultModel
-	faultsBefore := 0
-	var countsBefore chaos.Counts
-	if e.opts.Chaos.Active() {
-		countsBefore = e.opts.Chaos.Counts()
-		e.opts.Chaos.BeginSlot()
-		faultsBefore = e.opts.Chaos.Counts().Total()
-		fm = e.opts.Chaos
-	}
-	if e.opts.ForecastAvoided > 0 {
-		tr.Incident(sched.IncidentForecastAvoid, e.opts.ForecastAvoided)
-	}
-
-	// Cross-slot state: age out banked segments, then withdraw the
-	// survivors for this slot. Every bank interaction is gated on the bank
-	// being attached, so the disabled path is untouched.
-	var withdrawn []*qnet.Segment
-	if e.bank != nil {
-		if expired, decohered := e.bank.BeginSlot(); expired+decohered > 0 {
-			tr.Incident(sched.IncidentBankDecohered, expired+decohered)
-		}
-		if withdrawn = e.bank.WithdrawAll(); len(withdrawn) > 0 {
-			tr.Incident(sched.IncidentBankWithdraw, len(withdrawn))
-		}
-	}
-
-	// Step i: EPI identifies entanglement paths. With carry-aware pricing
-	// enabled and banked inventory in hand, the slot rounds over a
-	// re-priced LP whose columns prefer the carried segments; otherwise it
-	// rounds over the construction-time optimum as always.
-	t0 := time.Now()
+// planStep is EPI, step i of the slot. With carry-aware pricing enabled
+// and banked inventory in hand, the slot rounds over a re-priced LP whose
+// columns prefer the carried segments; otherwise it rounds over the
+// construction-time optimum.
+func (e *Engine) planStep(s *sched.Slot) {
 	lp := e.LP
-	if e.opts.CarryAwareLP && len(withdrawn) > 0 {
-		if sol := e.carryAwareSolve(withdrawn); sol != nil {
+	if e.opts.CarryAwareLP && len(s.Withdrawn) > 0 {
+		if sol := e.carryAwareSolve(s.Withdrawn); sol != nil {
 			lp = sol
 		}
 	}
-	planned := e.identifyPathsLP(lp, rng)
-	res.PlannedPaths = len(planned)
-	if traced {
-		for _, p := range planned {
-			tr.PathPlanned(p.Commodity, len(p.Hops))
-		}
-	}
-	tr.PhaseDone(sched.PhasePlan, time.Since(t0))
-
-	// Step ii: ESC reserves the segment-creation attempts. RunSlot reuses
-	// the engine's slot scratch (ledger, coverage tables, attempt plan);
-	// PlanSlot allocates fresh because its plan escapes to the caller.
-	t0 = time.Now()
 	sc := e.scratch()
-	plan, provisioned, err := e.createSegmentsPlanScratch(planned, sc)
+	sc.planned = e.identifyPathsLP(lp, s.Rng)
+	s.Result.PlannedPaths = len(sc.planned)
+	if s.Traced {
+		for _, p := range sc.planned {
+			s.Tracer.PathPlanned(p.Commodity, len(p.Hops))
+		}
+	}
+}
+
+// reserveStep is ESC, step ii: it reserves the slot's segment-creation
+// attempts in the engine's slot scratch (PlanSlot allocates fresh because
+// its plan escapes to the caller).
+func (e *Engine) reserveStep(s *sched.Slot) (qnet.AttemptPlan, qnet.AttemptPlan, error) {
+	sc := e.scratch()
+	plan, provisioned, err := e.createSegmentsPlanScratch(sc.planned, sc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res.ProvisionedPaths = len(provisioned)
-	// Carried segments substitute for planned creation attempts on their
-	// endpoint pair, shrinking this slot's reservation demand; the bank's
-	// policy can refuse substitution by segments decayed below its
-	// minimum Werner scale.
-	plan, _ = e.bank.TrimPlan(plan, withdrawn)
-	res.Attempts = plan.TotalAttempts()
-	if traced {
+	sc.provisioned = provisioned
+	s.Result.ProvisionedPaths = len(provisioned)
+	if s.Traced {
 		for _, p := range provisioned {
-			tr.PathProvisioned(p.Commodity)
-		}
-		for _, c := range plan.SortedCandidates() {
-			tr.AttemptReserved(c.U(), c.V(), plan[c])
+			s.Tracer.PathProvisioned(p.Commodity)
 		}
 	}
-	tr.PhaseDone(sched.PhaseReserve, time.Since(t0))
+	return plan, nil, nil
+}
 
-	// Physical phase — attempts succeed i.i.d.
-	t0 = time.Now()
-	var attemptObs qnet.AttemptObserver
-	if traced {
-		attemptObs = func(c *segment.Candidate, ok bool) {
-			tr.AttemptResolved(c.U(), c.V(), ok)
-		}
-	}
-	created := qnet.AttemptAllFaultyScratch(plan, rng, fm, attemptObs, &sc.att)
-	res.SegmentsCreated = len(created)
-	// Memory decoherence loses realized segments before the stitch phase;
-	// SegmentsCreated still reconciles with the created=true attempt
-	// events, the survivors are what ECE gets to work with.
-	created, _ = qnet.ApplyDecoherence(created, fm)
-	if fm != nil {
-		// Attribute the slot's damage: brownout denials and flap downs get
-		// their own incident kinds, the rest of the physical-phase delta
-		// stays IncidentFault (flap downs are counted by BeginSlot, before
-		// the faultsBefore snapshot, so they never leak into it).
-		da := e.opts.Chaos.Counts().Sub(countsBefore)
-		if d := e.opts.Chaos.Counts().Total() - faultsBefore - da.BrownoutAttemptsLost; d > 0 {
-			tr.Incident(sched.IncidentFault, d)
-		}
-		if da.FlapSlotsDown > 0 {
-			tr.Incident(sched.IncidentFlap, da.FlapSlotsDown)
-		}
-		if da.BrownoutAttemptsLost > 0 {
-			tr.Incident(sched.IncidentBrownout, da.BrownoutAttemptsLost)
-		}
-	}
-	tr.PhaseDone(sched.PhasePhysical, time.Since(t0))
-
-	// Steps iii–iv: ECE assembles connections from realized segments,
-	// sampling swaps as it goes; failed swaps consume segments but spare
-	// (redundant) segments allow further attempts. Withdrawn carried
-	// segments join the pool ahead of the fresh ones so the oldest photons
-	// are consumed preferentially.
-	t0 = time.Now()
-	slotSegs := append(withdrawn, created...)
-	if sc.pool == nil {
-		sc.pool = qnet.NewPool(slotSegs)
-	} else {
-		sc.pool.Reset(slotSegs)
-	}
-	pool := sc.pool
-	conns, attempts, floorRejected := e.establishFromPoolScratch(provisioned, pool, rng, sc)
-	res.Assembled = attempts
-	res.FloorRejected = floorRejected
-
-	for _, c := range conns {
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("core: invalid connection assembled: %w", err)
-		}
-		res.Established++
-		res.PerPair[c.Pair]++
-		res.Connections = append(res.Connections, c)
-	}
-	// Cross-slot state: bank the slot's unconsumed leftovers (fresh and
-	// re-deposited carried segments alike) for the next slot, within each
-	// node's memory budget.
-	if e.bank != nil {
-		if accepted := e.bank.Deposit(pool.Unconsumed()); accepted > 0 {
-			tr.Incident(sched.IncidentBankDeposit, accepted)
-		}
-	}
-	tr.PhaseDone(sched.PhaseStitch, time.Since(t0))
-	tr.SlotEnd(res)
-	return res, nil
+// stitchStep is ECE, steps iii–iv: it assembles connections from the
+// realized segments, sampling swaps as it goes; failed swaps consume
+// segments but spare (redundant) segments allow further attempts.
+func (e *Engine) stitchStep(s *sched.Slot, pool *qnet.Pool) []*qnet.Connection {
+	sc := e.scratch()
+	conns, attempts, floorRejected := e.establishFromPoolScratch(sc.provisioned, pool, s.Rng, sc)
+	s.Result.Assembled = attempts
+	s.Result.FloorRejected = floorRejected
+	return conns
 }
 
 // carryAwareSolve re-prices the LP with the slot's banked inventory folded
@@ -431,17 +286,6 @@ func (e *Engine) carryAwareSolve(withdrawn []*qnet.Segment) *flow.Solution {
 	}
 	return sol
 }
-
-// AttachBank implements sched.Stateful: it installs the cross-slot segment
-// bank (nil detaches, restoring memoryless behavior).
-func (e *Engine) AttachBank(b *state.Bank) { e.bank = b }
-
-// Bank implements sched.Stateful.
-func (e *Engine) Bank() *state.Bank { return e.bank }
-
-// Algorithm returns the scheme label (sched.SEE unless overridden by
-// Options.Algorithm, e.g. by the E2E restriction).
-func (e *Engine) Algorithm() sched.Algorithm { return e.opts.Algorithm }
 
 // UpperBound returns the LP objective, an upper bound on the expected
 // number of connections SEE can establish per slot.

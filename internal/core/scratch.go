@@ -7,7 +7,8 @@ import (
 	"see/internal/segment"
 )
 
-// slotScratch holds the per-slot reusable buffers of the RunSlot pipeline.
+// slotScratch holds the per-slot reusable buffers of the engine's slot
+// steps (the frame owns the attempt-ordering buffer and the segment pool).
 // One instance lives on the Engine and is recycled every slot, so the
 // steady-state slot loop performs no ledger/map/graph re-allocation. The
 // arena lifetime rule (DESIGN.md §9): scratch may only hold state that is
@@ -15,6 +16,10 @@ import (
 // segments, connections, the attempt plan handed out by PlanSlot) is
 // allocated fresh. PlanSlot therefore runs with a nil scratch.
 type slotScratch struct {
+	// The paths EPI planned and ESC provisioned this slot.
+	planned     []PlannedPath
+	provisioned []PlannedPath
+
 	// ESC: reservation ledger (Reset per slot) and coverage tables.
 	ledger   *qnet.Ledger
 	plan     qnet.AttemptPlan
@@ -24,12 +29,8 @@ type slotScratch struct {
 	keys     []segment.PairKey
 	escPre   []escCandidate
 
-	// Physical phase: candidate ordering buffer.
-	att qnet.AttemptScratch
-
-	// ECE: segment pool, per-pair counters, auxiliary stitch graph and the
+	// ECE: per-pair counters, auxiliary stitch graph and the
 	// targeted-Dijkstra buffers.
-	pool     *qnet.Pool
 	perPair  []int
 	aux      *graph.Graph
 	auxPairs []segment.PairKey

@@ -1,27 +1,34 @@
-package e2e
+package engines
 
 import (
 	"testing"
 
+	"see/internal/sched"
 	"see/internal/topo"
 	"see/internal/xrand"
 )
 
-func TestNewEngineValidation(t *testing.T) {
+// The E2E baseline is the SEE engine restricted to full SD paths; these
+// tests pin what the E2E builder promises on top of the SEE engine's own.
+
+func TestE2EBuilderValidation(t *testing.T) {
 	net, pairs := topo.Motivation()
-	if _, err := NewEngine(nil, pairs, Options{}); err == nil {
+	if _, err := New(sched.E2E, nil, pairs, Config{}); err == nil {
 		t.Fatal("nil network accepted")
 	}
-	if _, err := NewEngine(net, nil, Options{}); err == nil {
+	if _, err := New(sched.E2E, net, nil, Config{}); err == nil {
 		t.Fatal("empty pairs accepted")
 	}
 }
 
 func TestE2EConnectionsAreSingleSegment(t *testing.T) {
 	net, pairs := topo.Motivation()
-	e, err := NewEngine(net, pairs, Options{})
+	e, err := New(sched.E2E, net, pairs, Config{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := e.Algorithm(); got != sched.E2E {
+		t.Fatalf("Algorithm() = %v, want E2E", got)
 	}
 	rng := xrand.New(3)
 	sawConnection := false
@@ -38,7 +45,7 @@ func TestE2EConnectionsAreSingleSegment(t *testing.T) {
 			if len(conn.Junctions()) != 0 {
 				t.Fatal("E2E connection has swap junctions")
 			}
-			sd := e.Core().Pairs[conn.Pair]
+			sd := pairs[conn.Pair]
 			if conn.Nodes[0] != sd.S || conn.Nodes[len(conn.Nodes)-1] != sd.D {
 				t.Fatal("E2E connection endpoints wrong")
 			}
@@ -50,14 +57,13 @@ func TestE2EConnectionsAreSingleSegment(t *testing.T) {
 }
 
 // E2E throughput on the motivation fixture: each pair's best full-path
-// segment succeeds with probability 0.8 (s2-r1-d2) and 0.75 (s1-r1-r2-d1),
-// but the two share channel s?—r1? No: they share no link, yet memory at
-// the shared repeater is not needed. Mean throughput should sit near the
-// sum of whichever plans EPI makes; just require a sane band strictly
-// above zero and at most 2.
+// segment succeeds with probability 0.8 (s2-r1-d2) and 0.75 (s1-r1-r2-d1)
+// and the two share no link. Mean throughput should sit near the sum of
+// whichever plans EPI makes; require a sane band strictly above zero and
+// at most 2.
 func TestE2EMotivationThroughputBand(t *testing.T) {
 	net, pairs := topo.Motivation()
-	e, err := NewEngine(net, pairs, Options{})
+	e, err := New(sched.E2E, net, pairs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +94,7 @@ func TestE2ESuffersOnLongPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := topo.ChooseSDPairs(net, 5, xrand.New(9))
-	e, err := NewEngine(net, pairs, Options{KPaths: 3})
+	e, err := New(sched.E2E, net, pairs, Config{KPaths: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // Package engines is the single construction point for the slot-pipeline
 // engines: it maps a sched.Algorithm to the package implementing it
-// (internal/core, internal/reps, internal/e2e, internal/greedy,
-// internal/contend) and
-// translates the shared Config into each engine's options. Both the public
+// (internal/core for SEE, SEE-Aware and E2E; internal/reps;
+// internal/greedy; internal/contend for Contend, Contend-Aware and QPass;
+// internal/oracle) and translates the shared Config into each engine's
+// options. Both the public
 // API (package see) and the experiment harness build engines here, so no
 // algorithm type-switch exists anywhere else.
 //
@@ -24,7 +25,6 @@ import (
 	"see/internal/chaos"
 	"see/internal/contend"
 	"see/internal/core"
-	"see/internal/e2e"
 	"see/internal/greedy"
 	"see/internal/oracle"
 	"see/internal/qnet"
@@ -137,7 +137,27 @@ func NewCtx(ctx context.Context, alg sched.Algorithm, net *topo.Network, pairs [
 	return b(ctx, net, pairs, cfg)
 }
 
-func newSEE(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
+// engineOptions translates the shared Config into the options every engine
+// embeds, labelled with the scheme being built. Fault-aware schemes also get
+// the forecast's planning capacity tables and avoided-element count.
+func (cfg Config) engineOptions(alg sched.Algorithm, net *topo.Network) sched.EngineOptions {
+	o := sched.EngineOptions{
+		Algorithm:      alg,
+		Tracer:         cfg.Tracer,
+		Chaos:          cfg.Chaos,
+		Warm:           cfg.Warm,
+		FidelityFloors: cfg.FidelityFloors,
+		SwapOrder:      cfg.SwapOrder,
+	}
+	if alg.FaultAware() {
+		o.PlanChannels, o.PlanMemory, o.ForecastAvoided = forecastTables(cfg.Chaos, net)
+	}
+	return o
+}
+
+// seeOptions translates the shared Config into SEE options; the SEE and
+// SEE-Aware builders both start from it.
+func seeOptions(cfg Config, alg sched.Algorithm, net *topo.Network) core.Options {
 	co := core.DefaultOptions()
 	if cfg.KPaths > 0 {
 		co.Segment.KPaths = cfg.KPaths
@@ -151,34 +171,54 @@ func newSEE(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Con
 	co.StrictProvisioning = cfg.StrictProvisioning
 	co.Flow.SwapWeightedObjective = !cfg.PlainObjective
 	co.Flow.Workers = cfg.Workers
-	co.Tracer = cfg.Tracer
-	co.Chaos = cfg.Chaos
-	co.Warm = cfg.Warm
-	co.FidelityFloors = cfg.FidelityFloors
-	co.SwapOrder = cfg.SwapOrder
 	co.CarryAwareLP = cfg.CarryAwareLP
+	co.EngineOptions = cfg.engineOptions(alg, net)
+	return co
+}
+
+func newSEE(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
+	return core.NewEngineCtx(ctx, net, pairs, seeOptions(cfg, sched.SEE, net))
+}
+
+func newSEEAware(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
+	co := seeOptions(cfg, sched.SEEAware, net)
+	// Always on (not gated on a non-zero forecast) so planning on a full
+	// topology with forecast tables is the same code path as planning on a
+	// pre-shrunk topology with none — the equivalence the schedtest
+	// forecast contract pins. With no dead links it drops nothing.
+	co.Flow.DropDeadLinks = true
+	return core.NewEngineCtx(ctx, net, pairs, co)
+}
+
+// newE2E builds the all-optical-switching-only baseline, the "only
+// all-optical switching" extreme of SEE (§IV-A): the SEE engine with
+// candidates restricted to full SD paths, so every connection is one
+// segment and has no swaps. The default route budget is 1 — the paper's
+// E2E strawman sends photons over the shortest physical route only —
+// and hopeless routes are kept (no probability pruning). Only KPaths and
+// Workers of the SEE tuning apply.
+func newE2E(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
+	co := core.DefaultOptions()
+	co.Segment.FullPathOnly = true
+	co.Segment.MinProb = 0
+	co.Segment.KPaths = 1
+	if cfg.KPaths > 0 {
+		co.Segment.KPaths = cfg.KPaths
+	}
+	co.Flow.Workers = cfg.Workers
+	co.EngineOptions = cfg.engineOptions(sched.E2E, net)
 	return core.NewEngineCtx(ctx, net, pairs, co)
 }
 
 func newREPS(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	o := reps.Options{KPaths: cfg.KPaths, Tracer: cfg.Tracer, Chaos: cfg.Chaos, Warm: cfg.Warm,
-		FidelityFloors: cfg.FidelityFloors, SwapOrder: cfg.SwapOrder}
+	o := reps.Options{KPaths: cfg.KPaths, EngineOptions: cfg.engineOptions(sched.REPS, net)}
 	o.Flow.Workers = cfg.Workers
 	return reps.NewEngineCtx(ctx, net, pairs, o)
 }
 
-func newE2E(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	return e2e.NewEngineCtx(ctx, net, pairs, e2e.Options{KPaths: cfg.KPaths, Workers: cfg.Workers, Tracer: cfg.Tracer, Chaos: cfg.Chaos, Warm: cfg.Warm,
-		FidelityFloors: cfg.FidelityFloors, SwapOrder: cfg.SwapOrder})
-}
-
-func newContend(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	return contend.NewEngine(net, pairs, contendOptions(cfg))
-}
-
 // contendOptions translates the shared Config into contend options; the
 // Contend, ContendAware and QPass builders all start from it.
-func contendOptions(cfg Config) contend.Options {
+func contendOptions(cfg Config, alg sched.Algorithm, net *topo.Network) contend.Options {
 	o := contend.DefaultOptions()
 	if cfg.KPaths > 0 {
 		o.Segment.KPaths = cfg.KPaths
@@ -190,12 +230,25 @@ func contendOptions(cfg Config) contend.Options {
 	if cfg.MinSegmentProb > 0 {
 		o.Segment.MinProb = cfg.MinSegmentProb
 	}
-	o.Tracer = cfg.Tracer
-	o.Chaos = cfg.Chaos
-	o.Warm = cfg.Warm
-	o.FidelityFloors = cfg.FidelityFloors
-	o.SwapOrder = cfg.SwapOrder
+	o.EngineOptions = cfg.engineOptions(alg, net)
 	return o
+}
+
+func newContend(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
+	return contend.NewEngine(net, pairs, contendOptions(cfg, sched.Contend, net))
+}
+
+func newContendAware(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
+	return contend.NewEngine(net, pairs, contendOptions(cfg, sched.ContendAware, net))
+}
+
+// newQPass builds the Q-PASS-style offline contrast baseline: paths are
+// fixed from the fault-free topology with per-hop recovery reserved up
+// front, and the forecast is deliberately ignored.
+func newQPass(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
+	o := contendOptions(cfg, sched.QPass, net)
+	o.Offline = true
+	return contend.NewEngine(net, pairs, o)
 }
 
 // forecastTables turns the injector's announced-fault forecast into
@@ -220,53 +273,6 @@ func forecastTables(in *chaos.Injector, net *topo.Network) (channels, memory []i
 	return channels, memory, fc.Avoided()
 }
 
-func newSEEAware(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	co := core.DefaultOptions()
-	if cfg.KPaths > 0 {
-		co.Segment.KPaths = cfg.KPaths
-	}
-	if cfg.MaxSegmentHops > 0 {
-		co.Segment.MaxSegmentHops = cfg.MaxSegmentHops
-	}
-	if cfg.MinSegmentProb > 0 {
-		co.Segment.MinProb = cfg.MinSegmentProb
-	}
-	co.StrictProvisioning = cfg.StrictProvisioning
-	co.Flow.SwapWeightedObjective = !cfg.PlainObjective
-	co.Flow.Workers = cfg.Workers
-	co.Tracer = cfg.Tracer
-	co.Chaos = cfg.Chaos
-	co.Warm = cfg.Warm
-	co.FidelityFloors = cfg.FidelityFloors
-	co.SwapOrder = cfg.SwapOrder
-	co.CarryAwareLP = cfg.CarryAwareLP
-	co.Algorithm = sched.SEEAware
-	co.PlanChannels, co.PlanMemory, co.ForecastAvoided = forecastTables(cfg.Chaos, net)
-	// Always on (not gated on a non-zero forecast) so planning on a full
-	// topology with forecast tables is the same code path as planning on a
-	// pre-shrunk topology with none — the equivalence the schedtest
-	// forecast contract pins. With no dead links it drops nothing.
-	co.Flow.DropDeadLinks = true
-	return core.NewEngineCtx(ctx, net, pairs, co)
-}
-
-func newContendAware(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	o := contendOptions(cfg)
-	o.Algorithm = sched.ContendAware
-	o.PlanChannels, o.PlanMemory, o.ForecastAvoided = forecastTables(cfg.Chaos, net)
-	return contend.NewEngine(net, pairs, o)
-}
-
-// newQPass builds the Q-PASS-style offline contrast baseline: paths are
-// fixed from the fault-free topology with per-hop recovery reserved up
-// front, and the forecast is deliberately ignored.
-func newQPass(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	o := contendOptions(cfg)
-	o.Algorithm = sched.QPass
-	o.Offline = true
-	return contend.NewEngine(net, pairs, o)
-}
-
 func newGreedy(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
 	o := greedy.DefaultOptions()
 	if cfg.KPaths > 0 {
@@ -278,11 +284,7 @@ func newGreedy(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Co
 	if cfg.MinSegmentProb > 0 {
 		o.Segment.MinProb = cfg.MinSegmentProb
 	}
-	o.Tracer = cfg.Tracer
-	o.Chaos = cfg.Chaos
-	o.Warm = cfg.Warm
-	o.FidelityFloors = cfg.FidelityFloors
-	o.SwapOrder = cfg.SwapOrder
+	o.EngineOptions = cfg.engineOptions(sched.Greedy, net)
 	return greedy.NewEngine(net, pairs, o)
 }
 

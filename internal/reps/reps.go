@@ -19,21 +19,21 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"time"
 
-	"see/internal/chaos"
 	"see/internal/flow"
 	"see/internal/graph"
 	"see/internal/qnet"
 	"see/internal/sched"
 	"see/internal/segment"
-	"see/internal/state"
 	"see/internal/topo"
-	"see/internal/warm"
 )
 
-// Options tunes REPS.
+// Options tunes REPS. The embedded sched.EngineOptions carry the knobs
+// every engine shares; REPS always reports sched.REPS and plans on the
+// true capacities, so their Algorithm and planning-capacity fields are
+// ignored.
 type Options struct {
+	sched.EngineOptions
 	// KPaths is the Yen path budget per SD pair (default 5).
 	KPaths int
 	// RoundingSolves caps the LP re-solves of progressive rounding
@@ -41,25 +41,6 @@ type Options struct {
 	RoundingSolves int
 	// Flow tunes the underlying LP solves.
 	Flow flow.Options
-	// Tracer observes the slot pipeline; nil means no instrumentation.
-	Tracer sched.Tracer
-	// Chaos injects deterministic faults into the physical phase; nil or a
-	// zero-plan injector leaves the engine byte-identical to a run without
-	// any chaos layer (see the matching field in core.Options).
-	Chaos *chaos.Injector
-	// Warm, when non-nil, memoizes the link-candidate set and every
-	// progressive-rounding LP solution across engine (re)builds over the
-	// same network (see internal/warm and the matching field in
-	// core.Options). Bypassed for budgeted construction (non-nil ctx).
-	Warm *warm.Cache
-	// FidelityFloors is the per-request minimum delivered end-to-end
-	// fidelity; EPS never attempts an assembly whose predicted fidelity
-	// misses its pair's floor (see qnet.FloorPolicy and the matching field
-	// in core.Options). Nil or all-zero disables enforcement.
-	FidelityFloors *qnet.FloorSpec
-	// SwapOrder selects the stitch phase's swap schedule; the zero value
-	// (qnet.SwapOrderPath) is the historical left-to-right order.
-	SwapOrder qnet.SwapOrder
 }
 
 func (o Options) withDefaults() Options {
@@ -87,23 +68,20 @@ type Engine struct {
 	// ConnCap is the per-pair connection cap.
 	ConnCap []int
 
-	opts   Options
-	tracer sched.Tracer
-	// bank is the optional cross-slot segment bank; nil keeps the engine
-	// memoryless (see the matching field in core.Engine).
-	bank *state.Bank
-	// slot is the reusable per-slot scratch: attempt ordering, the segment
-	// pool, EPS's per-pair counters and auxiliary graph, and the targeted
-	// Dijkstra buffers. Only RunSlot uses it; the exported SelectPaths
-	// entry points allocate fresh.
+	// Frame runs the slot lifecycle around the engine's reserve and EPS
+	// steps and provides the Stateful and Checkpointable capabilities.
+	sched.Frame
+
+	opts Options
+	// slot is the reusable per-slot scratch: EPS's per-pair counters and
+	// auxiliary graph, and the targeted Dijkstra buffers. Only RunSlot
+	// uses it; the exported SelectPaths entry points allocate fresh.
 	slot *slotScratch
 }
 
 // slotScratch holds REPS's per-slot reusable buffers; the same lifetime
 // rule as core.slotScratch applies — nothing in it may outlive the slot.
 type slotScratch struct {
-	att      qnet.AttemptScratch
-	pool     *qnet.Pool
 	perPair  []int
 	aux      *graph.Graph
 	auxPairs []segment.PairKey
@@ -121,7 +99,10 @@ func (e *Engine) scratch() *slotScratch {
 	return e.slot
 }
 
-var _ sched.Stateful = (*Engine)(nil)
+var (
+	_ sched.Stateful       = (*Engine)(nil)
+	_ sched.Checkpointable = (*Engine)(nil)
+)
 
 // NewEngine provisions entanglement links for the workload.
 func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, error) {
@@ -138,6 +119,8 @@ func NewEngineCtx(ctx context.Context, net *topo.Network, pairs []topo.SDPair, o
 		return nil, errors.New("reps: no SD pairs")
 	}
 	opts = opts.withDefaults()
+	opts.Algorithm = sched.REPS
+	opts.Tracer = sched.OrNop(opts.Tracer)
 	segOpts := segment.DefaultOptions()
 	segOpts.KPaths = opts.KPaths
 	segOpts.MaxSegmentHops = 1 // entanglement links only
@@ -161,10 +144,19 @@ func NewEngineCtx(ctx context.Context, net *topo.Network, pairs []topo.SDPair, o
 			connCap[i] = min(net.Memory[sd.S], net.Memory[sd.D])
 		}
 	}
-	e := &Engine{Net: net, Pairs: pairs, Set: set, ConnCap: connCap, opts: opts, tracer: sched.OrNop(opts.Tracer)}
+	e := &Engine{Net: net, Pairs: pairs, Set: set, ConnCap: connCap, opts: opts}
 	if err := e.provision(ctx); err != nil {
 		return nil, err
 	}
+	e.Init(net, len(pairs), opts.EngineOptions, set.CandidateFor, sched.Steps{
+		Bound: e.UpperBound,
+		// The provisioning plan is fixed at construction, so the per-slot
+		// reserve phase just re-commits it. REPS plans links, not
+		// entanglement paths: no plan phase, and PlannedPaths and
+		// ProvisionedPaths stay zero.
+		Reserve: func(*sched.Slot) (qnet.AttemptPlan, qnet.AttemptPlan, error) { return e.Plan, nil, nil },
+		Stitch:  e.stitchStep,
+	})
 	return e, nil
 }
 
@@ -325,118 +317,12 @@ func fractionalAttempts(net *topo.Network, sol *flow.Solution) []fracAttempt {
 	return out
 }
 
-// RunSlot simulates one time slot: attempt the provisioned links, then
-// select entanglement paths on the realized link graph (EPS). The
-// provisioning plan is fixed at construction, so the per-slot reserve
-// phase just re-commits it (and reports it through the tracer);
-// PlannedPaths and ProvisionedPaths stay zero — REPS plans links, not
-// entanglement paths.
-func (e *Engine) RunSlot(rng *rand.Rand) (*sched.SlotResult, error) {
-	tr := e.tracer
-	tr.SlotStart(sched.REPS)
-	res := &sched.SlotResult{
-		LPObjective: e.LPObjective,
-		PerPair:     make([]int, len(e.Pairs)),
-	}
-
-	// Chaos slot clock; fm stays nil (and the slot byte-identical) without
-	// an active injector.
-	var fm qnet.FaultModel
-	faultsBefore := 0
-	var countsBefore chaos.Counts
-	if e.opts.Chaos.Active() {
-		countsBefore = e.opts.Chaos.Counts()
-		e.opts.Chaos.BeginSlot()
-		faultsBefore = e.opts.Chaos.Counts().Total()
-		fm = e.opts.Chaos
-	}
-
-	// Cross-slot state: withdraw surviving carried links and trim their
-	// endpoint pairs out of the provisioning plan (the cached e.Plan is
-	// never mutated). With no bank attached, plan aliases e.Plan and the
-	// slot is byte-identical to the memoryless path.
-	plan := e.Plan
-	var withdrawn []*qnet.Segment
-	if e.bank != nil {
-		if expired, decohered := e.bank.BeginSlot(); expired+decohered > 0 {
-			tr.Incident(sched.IncidentBankDecohered, expired+decohered)
-		}
-		if withdrawn = e.bank.WithdrawAll(); len(withdrawn) > 0 {
-			tr.Incident(sched.IncidentBankWithdraw, len(withdrawn))
-		}
-		plan, _ = e.bank.TrimPlan(plan, withdrawn)
-	}
-	res.Attempts = plan.TotalAttempts()
-
-	// The reservation events (and the sort that orders them) exist only for
-	// the tracer; skip them on bare runs. The rng stream is unaffected.
-	traced := !sched.IsNop(tr)
-	t0 := time.Now()
-	if traced {
-		for _, c := range plan.SortedCandidates() {
-			tr.AttemptReserved(c.U(), c.V(), plan[c])
-		}
-	}
-	tr.PhaseDone(sched.PhaseReserve, time.Since(t0))
-
-	t0 = time.Now()
-	var attemptObs qnet.AttemptObserver
-	if traced {
-		attemptObs = func(c *segment.Candidate, ok bool) {
-			tr.AttemptResolved(c.U(), c.V(), ok)
-		}
-	}
-	sc := e.scratch()
-	created := qnet.AttemptAllFaultyScratch(plan, rng, fm, attemptObs, &sc.att)
-	res.SegmentsCreated = len(created)
-	created, _ = qnet.ApplyDecoherence(created, fm)
-	if fm != nil {
-		// Brownout denials and flap downs get their own incident kinds; the
-		// rest stays IncidentFault (see the matching block in internal/core).
-		da := e.opts.Chaos.Counts().Sub(countsBefore)
-		if d := e.opts.Chaos.Counts().Total() - faultsBefore - da.BrownoutAttemptsLost; d > 0 {
-			tr.Incident(sched.IncidentFault, d)
-		}
-		if da.FlapSlotsDown > 0 {
-			tr.Incident(sched.IncidentFlap, da.FlapSlotsDown)
-		}
-		if da.BrownoutAttemptsLost > 0 {
-			tr.Incident(sched.IncidentBrownout, da.BrownoutAttemptsLost)
-		}
-	}
-	tr.PhaseDone(sched.PhasePhysical, time.Since(t0))
-
-	// Withdrawn carried links join the pool ahead of the fresh ones so the
-	// oldest photons are consumed preferentially.
-	t0 = time.Now()
-	slotSegs := append(withdrawn, created...)
-	if sc.pool == nil {
-		sc.pool = qnet.NewPool(slotSegs)
-	} else {
-		sc.pool.Reset(slotSegs)
-	}
-	pool := sc.pool
-	conns, assembled, floorRejected := e.selectFromPoolScratch(pool, rng, sc)
-	res.Assembled = assembled
-	res.FloorRejected = floorRejected
-	for _, c := range conns {
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("reps: invalid connection: %w", err)
-		}
-		res.Established++
-		res.PerPair[c.Pair]++
-		res.Connections = append(res.Connections, c)
-	}
-	// Cross-slot state: bank the slot's unconsumed leftovers for the next
-	// slot, within each node's memory budget.
-	if e.bank != nil {
-		if accepted := e.bank.Deposit(pool.Unconsumed()); accepted > 0 {
-			tr.Incident(sched.IncidentBankDeposit, accepted)
-		}
-	}
-	tr.PhaseDone(sched.PhaseStitch, time.Since(t0))
-	tr.SlotEnd(res)
-	return res, nil
+// stitchStep is EPS over the slot's pool of realized (and carried) links.
+func (e *Engine) stitchStep(s *sched.Slot, pool *qnet.Pool) []*qnet.Connection {
+	conns, assembled, floorRejected := e.selectFromPoolScratch(pool, s.Rng, e.scratch())
+	s.Result.Assembled = assembled
+	s.Result.FloorRejected = floorRejected
+	return conns
 }
 
 // SelectPaths is REPS's EPS step: round-robin over SD pairs, repeatedly
@@ -470,7 +356,7 @@ func (e *Engine) selectFromPool(pool *qnet.Pool, rng *rand.Rand) ([]*qnet.Connec
 // the early-stop targeted queries); nil allocates fresh. Both paths
 // produce identical connections.
 func (e *Engine) selectFromPoolScratch(pool *qnet.Pool, rng *rand.Rand, sc *slotScratch) ([]*qnet.Connection, int, int) {
-	tr := e.tracer
+	tr := e.opts.Tracer
 	swapObs := qnet.SwapObserver(tr.SwapResolved)
 	attempts := 0
 	floorRejected := 0
@@ -578,15 +464,5 @@ func (e *Engine) selectFromPoolScratch(pool *qnet.Pool, rng *rand.Rand, sc *slot
 	}
 }
 
-// Algorithm identifies the scheme.
-func (e *Engine) Algorithm() sched.Algorithm { return sched.REPS }
-
 // UpperBound returns the provisioning LP optimum.
 func (e *Engine) UpperBound() float64 { return e.LPObjective }
-
-// AttachBank implements sched.Stateful: it installs the cross-slot segment
-// bank (nil detaches, restoring memoryless behavior).
-func (e *Engine) AttachBank(b *state.Bank) { e.bank = b }
-
-// Bank implements sched.Stateful.
-func (e *Engine) Bank() *state.Bank { return e.bank }
