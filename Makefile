@@ -50,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/chaos
 	$(GO) test -fuzz=FuzzLoadEdgeList -fuzztime=$(FUZZTIME) -run='^$$' ./internal/topo
 	$(GO) test -fuzz=FuzzParseFloorSpec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/qnet
+	$(GO) test -fuzz=FuzzDecodeEngineState -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ckpt
 
 # docs-check keeps the documentation honest: gofmt-clean tree, a package
 # comment on every internal/* package, and every seesim flag present in

@@ -8,8 +8,10 @@
 //     table, every `-flag` table row names a live flag (no stale rows
 //     for removed flags), and a row that states a default states the
 //     registered one, so the CLI surface and its documentation cannot
-//     drift apart, and
-//  3. the packages whose API contracts are taught by example (the LP
+//     drift apart,
+//  3. the seesim -alg usage string names every registered engine
+//     (engines.List), so `seesim -h` lists every scheme it accepts, and
+//  4. the packages whose API contracts are taught by example (the LP
 //     solver's warm restart, the flow solver's arena reuse) keep at
 //     least one godoc Example, so `go doc` never loses the worked code.
 //
@@ -26,6 +28,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"see/internal/engines"
+	"see/internal/sched"
 )
 
 func main() {
@@ -62,6 +67,7 @@ func main() {
 		os.Exit(1)
 	}
 	problems = append(problems, checkFlagTable(string(readme), flags)...)
+	problems = append(problems, checkAlgUsage(flags, engines.List())...)
 
 	// The packages whose contracts are taught by worked godoc Examples
 	// (DESIGN.md §9 links to both).
@@ -229,13 +235,37 @@ func hasPackageComment(dir string) (bool, error) {
 	return found, nil
 }
 
-// flagDef is one registered seesim flag: its name and, when the
-// registration's default is a plain literal, that default's source text
-// (string literals unquoted; empty when the default is a computed
-// expression and cannot be compared against prose).
+// checkAlgUsage requires the -alg flag's usage string to name every
+// registered engine, by the lower-case name ParseAlgorithm accepts.
+func checkAlgUsage(flags []flagDef, algs []sched.Algorithm) []string {
+	i := sort.Search(len(flags), func(i int) bool { return flags[i].Name >= "alg" })
+	if i == len(flags) || flags[i].Name != "alg" {
+		return []string{"cmd/seesim: no -alg flag registered"}
+	}
+	named := make(map[string]bool)
+	for _, w := range strings.FieldsFunc(flags[i].Usage, func(r rune) bool {
+		return r != '-' && (r < 'a' || r > 'z') && (r < '0' || r > '9')
+	}) {
+		named[w] = true
+	}
+	var problems []string
+	for _, alg := range algs {
+		if name := strings.ToLower(alg.String()); !named[name] {
+			problems = append(problems,
+				fmt.Sprintf("cmd/seesim: -alg usage does not name registered engine %q", name))
+		}
+	}
+	return problems
+}
+
+// flagDef is one registered seesim flag: its name, its usage string and,
+// when the registration's default is a plain literal, that default's
+// source text (string literals unquoted; empty when the default is a
+// computed expression and cannot be compared against prose).
 type flagDef struct {
 	Name    string
 	Default string
+	Usage   string
 }
 
 // seesimFlags extracts the flags registered via the flag package in the
@@ -275,7 +305,13 @@ func seesimFlags(path string) ([]flagDef, error) {
 		if err != nil {
 			return true
 		}
-		flags = append(flags, flagDef{Name: name, Default: defaultText(call.Args[1])})
+		def := flagDef{Name: name, Default: defaultText(call.Args[1])}
+		if len(call.Args) > 2 {
+			if u, ok := call.Args[2].(*ast.BasicLit); ok && u.Kind == token.STRING {
+				def.Usage, _ = strconv.Unquote(u.Value)
+			}
+		}
+		flags = append(flags, def)
 		return true
 	})
 	if len(flags) == 0 {

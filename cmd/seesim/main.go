@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		trials     = fs.Int("trials", 10, "independent trials (topology redrawn each)")
 		slots      = fs.Int("slots", 1, "time slots per trial")
 		seed       = fs.Int64("seed", 1, "base random seed")
-		alg        = fs.String("alg", "all", "scheduler: see, reps, e2e, greedy, contend, qpass, see-aware, contend-aware, a comma-separated list, or all")
+		alg        = fs.String("alg", "all", "scheduler: see, reps, e2e, greedy, contend, qpass, see-aware, contend-aware, oracle, a comma-separated list, or all")
 		topoName   = fs.String("topo", "waxman", "topology: waxman or nsfnet")
 		traffic    = fs.String("traffic", "uniform", "SD pair pattern: uniform, hotspot or gravity")
 		trace      = fs.Bool("trace", false, "print per-scheduler pipeline phase counters after the run")

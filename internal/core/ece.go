@@ -42,21 +42,13 @@ func (e *Engine) establishConnections(provisioned []PlannedPath, created []*qnet
 	return established, attempts
 }
 
-// establishFromPool is establishConnections over a caller-built pool. The
-// carry-over path uses it so the pool can mix withdrawn (carried) segments
-// with the slot's fresh ones and so the engine can deposit the pool's
-// unconsumed leftovers into the state bank afterwards.
-func (e *Engine) establishFromPool(provisioned []PlannedPath, pool *qnet.Pool, rng *rand.Rand) (established []*qnet.Connection, attempts int) {
-	established, attempts, _ = e.establishFromPoolScratch(provisioned, pool, rng, nil)
-	return established, attempts
-}
-
-// establishFromPoolScratch is establishFromPool over an optional slot
-// scratch: the per-pair counters, the auxiliary stitch graph and the
-// Dijkstra buffers are recycled across slots, and the per-pair queries run
-// the early-stop targeted Dijkstra (identical result, less work). The
-// established connections are always freshly allocated — they outlive the
-// slot.
+// establishFromPoolScratch is establishConnections over a caller-built
+// pool (the slot's fresh segments behind any carried ones; the frame banks
+// the leftovers) and an optional slot scratch: the per-pair counters, the
+// auxiliary stitch graph and the Dijkstra buffers are recycled across
+// slots, and the per-pair queries run the early-stop targeted Dijkstra
+// (identical result, less work). The established connections are always
+// freshly allocated — they outlive the slot.
 func (e *Engine) establishFromPoolScratch(provisioned []PlannedPath, pool *qnet.Pool, rng *rand.Rand, sc *slotScratch) (established []*qnet.Connection, attempts, floorRejected int) {
 	var perPair []int
 	if sc != nil {

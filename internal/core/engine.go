@@ -249,6 +249,7 @@ func (e *Engine) reserveStep(s *sched.Slot) (qnet.AttemptPlan, qnet.AttemptPlan,
 func (e *Engine) stitchStep(s *sched.Slot, pool *qnet.Pool) []*qnet.Connection {
 	sc := e.scratch()
 	conns, attempts, floorRejected := e.establishFromPoolScratch(sc.provisioned, pool, s.Rng, sc)
+	sc.planned, sc.provisioned = nil, nil
 	s.Result.Assembled = attempts
 	s.Result.FloorRejected = floorRejected
 	return conns

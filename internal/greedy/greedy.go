@@ -35,7 +35,7 @@ const (
 
 // Options tunes the greedy engine. The embedded sched.EngineOptions carry
 // the knobs every engine shares; their zero Algorithm means sched.Greedy,
-// and the planning-capacity fields are ignored (the greedy plans on the
+// and PlanChannels and PlanMemory are ignored (the greedy plans on the
 // true capacities).
 type Options struct {
 	sched.EngineOptions

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"see/internal/flow"
@@ -29,8 +28,8 @@ import (
 )
 
 // Options tunes REPS. The embedded sched.EngineOptions carry the knobs
-// every engine shares; REPS always reports sched.REPS and plans on the
-// true capacities, so their Algorithm and planning-capacity fields are
+// every engine shares; REPS always reports sched.REPS and provisions on
+// the true capacities, so their Algorithm, PlanChannels and PlanMemory are
 // ignored.
 type Options struct {
 	sched.EngineOptions
@@ -74,8 +73,7 @@ type Engine struct {
 
 	opts Options
 	// slot is the reusable per-slot scratch: EPS's per-pair counters and
-	// auxiliary graph, and the targeted Dijkstra buffers. Only RunSlot
-	// uses it; the exported SelectPaths entry points allocate fresh.
+	// auxiliary graph, and the targeted Dijkstra buffers.
 	slot *slotScratch
 }
 
@@ -120,7 +118,6 @@ func NewEngineCtx(ctx context.Context, net *topo.Network, pairs []topo.SDPair, o
 	}
 	opts = opts.withDefaults()
 	opts.Algorithm = sched.REPS
-	opts.Tracer = sched.OrNop(opts.Tracer)
 	segOpts := segment.DefaultOptions()
 	segOpts.KPaths = opts.KPaths
 	segOpts.MaxSegmentHops = 1 // entanglement links only
@@ -317,73 +314,28 @@ func fractionalAttempts(net *topo.Network, sol *flow.Solution) []fracAttempt {
 	return out
 }
 
-// stitchStep is EPS over the slot's pool of realized (and carried) links.
+// stitchStep is REPS's EPS step over the slot's pool of realized (and
+// carried) links: round-robin over SD pairs, repeatedly routing each on the
+// available links via shortest path with junction weight −ln q, until no
+// pair can be served. Swapping is sampled per assembled connection; a
+// failure consumes the links but the pair stays eligible, so redundant
+// links back up failed swaps (see the matching note on ECE in
+// internal/core). The auxiliary graph, per-pair counters and Dijkstra
+// buffers are the engine's slot scratch.
 func (e *Engine) stitchStep(s *sched.Slot, pool *qnet.Pool) []*qnet.Connection {
-	conns, assembled, floorRejected := e.selectFromPoolScratch(pool, s.Rng, e.scratch())
-	s.Result.Assembled = assembled
-	s.Result.FloorRejected = floorRejected
-	return conns
-}
-
-// SelectPaths is REPS's EPS step: round-robin over SD pairs, repeatedly
-// routing each on the realized entanglement links via shortest path with
-// junction weight −ln q, until no pair can be served. Swapping is sampled
-// per assembled connection; a failure consumes the links but the pair stays
-// eligible, so redundant links back up failed swaps (see the matching note
-// on ECE in internal/core).
-func (e *Engine) SelectPaths(created []*qnet.Segment, rng *rand.Rand) []*qnet.Connection {
-	conns, _ := e.selectPaths(created, rng)
-	return conns
-}
-
-// selectPaths is SelectPaths plus the number of assembly attempts (each
-// consumes one realized link per hop; swap failures make attempts exceed
-// the established count).
-func (e *Engine) selectPaths(created []*qnet.Segment, rng *rand.Rand) ([]*qnet.Connection, int) {
-	return e.selectFromPool(qnet.NewPool(created), rng)
-}
-
-// selectFromPool is selectPaths over a caller-built pool; the carry-over
-// path uses it so carried links mix with fresh ones and the leftovers can
-// be banked afterwards.
-func (e *Engine) selectFromPool(pool *qnet.Pool, rng *rand.Rand) ([]*qnet.Connection, int) {
-	conns, attempts, _ := e.selectFromPoolScratch(pool, rng, nil)
-	return conns, attempts
-}
-
-// selectFromPoolScratch is selectFromPool over an optional slot scratch
-// (reused auxiliary graph, per-pair counters and Dijkstra buffers, plus
-// the early-stop targeted queries); nil allocates fresh. Both paths
-// produce identical connections.
-func (e *Engine) selectFromPoolScratch(pool *qnet.Pool, rng *rand.Rand, sc *slotScratch) ([]*qnet.Connection, int, int) {
-	tr := e.opts.Tracer
+	sc := e.scratch()
+	tr, res := s.Tracer, s.Result
 	swapObs := qnet.SwapObserver(tr.SwapResolved)
-	attempts := 0
-	floorRejected := 0
 	fp := qnet.NewFloorPolicy(e.opts.FidelityFloors, e.Net)
 	var floorDead []bool // pairs whose best route missed the floor
-	var aux *graph.Graph
-	var auxPairs []segment.PairKey
-	var dij *graph.DijkstraScratch
-	if sc != nil {
-		aux = sc.aux
-		aux.Reset()
-		auxPairs = sc.auxPairs[:0]
-		dij = &sc.dij
-	} else {
-		aux = graph.New(e.Net.NumNodes())
-	}
-	pairsWith := pool.Pairs()
-	if auxPairs == nil {
-		auxPairs = make([]segment.PairKey, 0, len(pairsWith))
-	}
-	for _, pk := range pairsWith {
+	aux := sc.aux
+	aux.Reset()
+	auxPairs := sc.auxPairs[:0]
+	for _, pk := range pool.Pairs() {
 		aux.AddEdge(pk.U, pk.V, 1)
 		auxPairs = append(auxPairs, pk)
 	}
-	if sc != nil {
-		sc.auxPairs = auxPairs
-	}
+	sc.auxPairs = auxPairs
 	nodeWeight := func(u int) float64 {
 		q := e.Net.SwapProb[u]
 		if q <= 0 {
@@ -397,13 +349,8 @@ func (e *Engine) selectFromPoolScratch(pool *qnet.Pool, rng *rand.Rand, sc *slot
 		}
 		return 1e9
 	}
-	var perPair []int
-	if sc != nil {
-		perPair = sc.perPair
-		clear(perPair)
-	} else {
-		perPair = make([]int, len(e.Pairs))
-	}
+	perPair := sc.perPair
+	clear(perPair)
 	var out []*qnet.Connection
 	for {
 		progress := false
@@ -417,7 +364,7 @@ func (e *Engine) selectFromPoolScratch(pool *qnet.Pool, rng *rand.Rand, sc *slot
 			path, dist := graph.ShortestPathTarget(aux, sd.S, sd.D, graph.DijkstraOptions{
 				NodeWeight: nodeWeight,
 				EdgeWeight: edgeWeight,
-			}, dij)
+			}, &sc.dij)
 			if path == nil || dist >= 1e8 {
 				continue
 			}
@@ -432,26 +379,26 @@ func (e *Engine) selectFromPoolScratch(pool *qnet.Pool, rng *rand.Rand, sc *slot
 				conn.Segments = append(conn.Segments, seg)
 			}
 			if !ok {
-				for _, s := range conn.Segments {
-					pool.Return(s)
+				for _, seg := range conn.Segments {
+					pool.Return(seg)
 				}
 				continue
 			}
 			if fp.Rejects(i, conn.Segments) {
-				for _, s := range conn.Segments {
-					pool.Return(s)
+				for _, seg := range conn.Segments {
+					pool.Return(seg)
 				}
 				if floorDead == nil {
 					floorDead = make([]bool, len(e.Pairs))
 				}
 				floorDead[i] = true
-				floorRejected++
+				res.FloorRejected++
 				tr.Incident(sched.IncidentFloorReject, 1)
 				continue
 			}
 			progress = true
-			attempts++
-			ok = conn.EstablishOrderedObserved(e.Net, pool, rng, swapObs, e.opts.SwapOrder)
+			res.Assembled++
+			ok = conn.EstablishOrderedObserved(e.Net, pool, s.Rng, swapObs, e.opts.SwapOrder)
 			tr.ConnectionAssembled(i, ok)
 			if ok {
 				out = append(out, conn)
@@ -459,7 +406,7 @@ func (e *Engine) selectFromPoolScratch(pool *qnet.Pool, rng *rand.Rand, sc *slot
 			}
 		}
 		if !progress {
-			return out, attempts, floorRejected
+			return out
 		}
 	}
 }

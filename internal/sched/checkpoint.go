@@ -53,7 +53,8 @@ type LadderState struct {
 // layer that owns it).
 //
 // Both methods are valid only at slot boundaries — never mid-RunSlot. All
-// registered engines plus the resilient wrapper implement the interface.
+// registered engines plus the resilient wrapper implement the interface,
+// most of them through the Frame they embed.
 type Checkpointable interface {
 	Engine
 	// EngineState snapshots the engine's cross-slot state.

@@ -79,7 +79,9 @@ type Steps struct {
 	// attempts and decoherence, before fault attribution, and returns the
 	// slot's realized segments with any it added.
 	Recover func(s *Slot, created []*qnet.Segment) []*qnet.Segment
-	// Stitch assembles connections from the slot's segment pool.
+	// Stitch assembles connections from the slot's segment pool. The
+	// returned slice becomes SlotResult.Connections, so it must be freshly
+	// allocated, never scratch.
 	Stitch func(s *Slot, pool *qnet.Pool) []*qnet.Connection
 }
 
@@ -153,10 +155,17 @@ func (f *Frame) Init(net *topo.Network, numPairs int, opts EngineOptions, resolv
 // the physical phase and the swaps; a fixed rng state reproduces the slot,
 // and tracers observe outcomes without consuming randomness.
 func (f *Frame) RunSlot(rng *rand.Rand) (*SlotResult, error) {
+	res, err := f.runSlot(rng, &f.slot)
+	// The slot context is scratch: drop its references to the result and
+	// the carried segments so the frame does not keep them alive.
+	f.slot = Slot{}
+	return res, err
+}
+
+func (f *Frame) runSlot(rng *rand.Rand, s *Slot) (*SlotResult, error) {
 	tr := f.opts.Tracer
 	tr.SlotStart(f.opts.Algorithm)
 	res := &SlotResult{LPObjective: f.steps.Bound(), PerPair: make([]int, len(f.served))}
-	s := &f.slot
 	*s = Slot{Rng: rng, Tracer: tr, Traced: f.traced, Result: res, Observe: f.observe, frame: f}
 
 	// Chaos slot clock. With a nil or zero-plan injector Faults stays nil
@@ -235,13 +244,16 @@ func (f *Frame) RunSlot(rng *rand.Rand) (*SlotResult, error) {
 	} else {
 		f.pool.Reset(slotSegs)
 	}
-	for _, c := range f.steps.Stitch(s, f.pool) {
+	conns := f.steps.Stitch(s, f.pool)
+	for _, c := range conns {
 		if err := c.Validate(); err != nil {
 			return nil, fmt.Errorf("sched: %v assembled an invalid connection: %w", f.opts.Algorithm, err)
 		}
-		res.Established++
 		res.PerPair[c.Pair]++
-		res.Connections = append(res.Connections, c)
+	}
+	if len(conns) > 0 {
+		res.Established = len(conns)
+		res.Connections = conns
 	}
 	// Bank the slot's unconsumed leftovers (fresh and re-deposited carried
 	// segments alike) for the next slot, within each node's memory budget.

@@ -1,7 +1,7 @@
 // Package sched defines the common slot pipeline shared by every
-// entanglement-establishment engine in the repository. All three schemes
-// of the paper's evaluation (SEE, REPS, E2E) run the same four conceptual
-// phases each time slot:
+// entanglement-establishment engine in the repository. Every scheme — the
+// paper's evaluation trio (SEE, REPS, E2E) and the repo-grown baselines —
+// runs the same four conceptual phases each time slot:
 //
 //	plan     — identify entanglement paths (EPI / LP rounding)
 //	reserve  — reserve channels and memory for creation attempts (ESC /
@@ -11,11 +11,14 @@
 //	           quantum swaps (ECE / EPS)
 //
 // The package gives them one Engine interface, one canonical SlotResult,
-// and a Tracer hook with per-phase callbacks so callers can observe where
+// a Tracer hook with per-phase callbacks so callers can observe where
 // throughput is lost (attempts reserved vs. segments created vs. swaps
-// survived) without reaching into engine internals. Engines live in
-// internal/core, internal/reps and internal/e2e; the factory that builds
-// one by Algorithm is internal/engines.
+// survived) without reaching into engine internals, and the Frame that
+// runs those phases: engines embed it and supply only their own steps
+// (see Steps). Engines live in internal/core (SEE, SEE-Aware, E2E),
+// internal/reps, internal/greedy, internal/contend (Contend,
+// Contend-Aware, QPass) and internal/oracle; the factory that builds one
+// by Algorithm is internal/engines.
 package sched
 
 import (
@@ -215,8 +218,9 @@ type Engine interface {
 // The capability is strictly opt-in: with no bank attached (Bank() == nil)
 // a Stateful engine must be byte-identical to one without the capability,
 // the same contract zero fault plans honor. Attach a bank before the first
-// RunSlot and never swap it mid-run; all four engines plus the resilient
-// wrapper in internal/engines implement the interface.
+// RunSlot and never swap it mid-run. Frame implements the interface for
+// every engine that embeds it; the oracle and the resilient wrapper in
+// internal/engines implement it themselves.
 type Stateful interface {
 	Engine
 	// AttachBank installs the cross-slot segment bank (nil detaches).
