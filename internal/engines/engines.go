@@ -3,9 +3,8 @@
 // (internal/core for SEE, SEE-Aware and E2E; internal/reps;
 // internal/greedy; internal/contend for Contend, Contend-Aware and QPass;
 // internal/oracle) and translates the shared Config into each engine's
-// options. Both the public
-// API (package see) and the experiment harness build engines here, so no
-// algorithm type-switch exists anywhere else.
+// options. Both the public API (package see) and the experiment harness
+// build engines here, so no algorithm type-switch exists anywhere else.
 //
 // The package also owns the degradation ladder (NewResilient): when an
 // LP-based engine's construction exceeds its slot budget or fails, the
