@@ -400,8 +400,7 @@ func benchCarryWorkload(b *testing.B, carry bool) {
 	for i := 0; i < b.N; i++ {
 		opts := &see.SchedulerOptions{}
 		if carry {
-			opts.CarryOver = true
-			opts.DecoherenceSlots = 2
+			opts.CarrySlots = 2
 		}
 		sc, err := see.NewScheduler(see.SEE, net, pairs, opts)
 		if err != nil {

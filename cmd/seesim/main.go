@@ -151,16 +151,35 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		warmCache = see.NewWarmCache()
 	}
 
+	// One set of scheduler options for the whole run, shared by sweep and
+	// serve mode; every scheduler gets a copy with its own tracer.
+	opts := see.SchedulerOptions{
+		Workers:              *workers,
+		Faults:               plan,
+		SlotBudget:           *budget,
+		Warm:                 warmCache,
+		FidelityFloors:       floors,
+		SwapOrder:            order,
+		CarryAwareLP:         *carryLP,
+		CarryWernerRetention: *retention,
+		CarryMinWernerScale:  *minScale,
+	}
+	if *carry {
+		// The bank resolves a window below one slot to one slot.
+		opts.CarrySlots = max(*decohere, 1)
+	}
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+
 	if *serveMode {
 		return runServe(serveParams{
 			algs: algs, cfg: cfg, pairs: *pairs, topoName: *topoName,
 			pattern: pattern, traffic: *traffic, slots: *slots, seed: *seed,
-			workers: *workers, plan: plan, budget: *budget, carry: *carry,
-			decohere: *decohere, trace: *trace, jsonl: jsonlTracer,
+			opts: opts, trace: *trace, jsonl: jsonlTracer,
 			arrivals: *arrivals, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
-			resume: *resume, dieAt: *dieAt, warm: warmCache,
-			floors: floors, swapOrder: order, carryLP: *carryLP,
-			retention: *retention, minScale: *minScale,
+			resume: *resume, dieAt: *dieAt,
 		}, stdout, stderr)
 	}
 
@@ -180,19 +199,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return 1
 		}
 		for _, a := range algs {
-			opts := &see.SchedulerOptions{
-				Workers:              *workers,
-				Faults:               plan,
-				SlotBudget:           *budget,
-				CarryOver:            *carry,
-				DecoherenceSlots:     *decohere,
-				Warm:                 warmCache,
-				FidelityFloor:        floors,
-				SwapOrder:            order,
-				CarryAwareLP:         *carryLP,
-				CarryWernerRetention: *retention,
-				CarryMinWernerScale:  *minScale,
-			}
+			o := opts
 			var ts []see.Tracer
 			if *trace || countInjected {
 				ts = append(ts, tracers[a])
@@ -201,9 +208,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				ts = append(ts, jsonlTracer)
 			}
 			if len(ts) > 0 {
-				opts.Tracer = see.MultiTracer(ts...)
+				o.Tracer = see.MultiTracer(ts...)
 			}
-			sc, err := see.NewScheduler(a, net, sdPairs, opts)
+			sc, err := see.NewScheduler(a, net, sdPairs, &o)
 			if err != nil {
 				fmt.Fprintf(stderr, "trial %d (%v): %v\n", trial, a, err)
 				return 1

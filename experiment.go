@@ -2,7 +2,6 @@ package see
 
 import (
 	"fmt"
-	"time"
 
 	"see/internal/experiment"
 )
@@ -23,30 +22,17 @@ type ExperimentParams struct {
 	Trials int
 	// Seed drives everything; same seed, same numbers.
 	Seed int64
-	// Tracer observes every engine's slot pipeline across all trials;
-	// trials run concurrently, so it must be safe for concurrent use
-	// (CountingTracer is). nil disables instrumentation.
-	Tracer Tracer
-	// Faults applies a deterministic fault schedule to every trial (each
-	// engine gets its own injector); nil disables fault injection.
-	Faults *FaultPlan
-	// SlotBudget bounds each engine's LP solve; on timeout the slot
-	// degrades to the Greedy fallback. Zero means no budget.
-	SlotBudget time.Duration
 	// Slots runs each trial for this many consecutive time slots per
 	// algorithm (default 1, the paper's single-slot evaluation); reported
 	// throughput is always per slot.
 	Slots int
-	// CarryOver banks realized-but-unconsumed segments across the trial's
-	// slots (see SchedulerOptions.CarryOver). Only meaningful with
-	// Slots > 1.
-	CarryOver bool
-	// DecoherenceSlots is the carry-over age window (default 1); see
-	// SchedulerOptions.DecoherenceSlots.
-	DecoherenceSlots int
-	// Workers bounds the goroutines running trials concurrently (0 =
-	// GOMAXPROCS, 1 = serial). Results are identical at any value.
-	Workers int
+	// SchedulerOptions configures every scheduler of every trial. Trials
+	// run concurrently, so Workers also bounds the trial pool (results are
+	// identical at any value) and a Tracer must be safe for concurrent use
+	// (CountingTracer is). Each engine gets its own injector built from
+	// Faults. KPaths and MaxSegmentHops left zero select the harness
+	// defaults 5 and 10.
+	SchedulerOptions
 }
 
 // DefaultExperimentParams returns the paper's defaults with 100 trials.
@@ -88,13 +74,15 @@ func (p ExperimentParams) toInternal() experiment.Params {
 	if p.Seed != 0 {
 		in.BaseSeed = p.Seed
 	}
-	in.Tracer = p.Tracer
-	in.Faults = p.Faults
-	in.SlotBudget = p.SlotBudget
 	in.Slots = p.Slots
-	in.CarryOver = p.CarryOver
-	in.DecoherenceSlots = p.DecoherenceSlots
-	in.Workers = p.Workers
+	cfg := p.SchedulerOptions
+	if cfg.KPaths == 0 {
+		cfg.KPaths = in.KPaths
+	}
+	if cfg.MaxSegmentHops == 0 {
+		cfg.MaxSegmentHops = in.MaxSegmentHops
+	}
+	in.Config = cfg
 	return in
 }
 
@@ -111,7 +99,8 @@ type PointResult struct {
 	CDFXs, CDFPs []float64
 }
 
-// RunExperiment evaluates all three algorithms on identical instances.
+// RunExperiment evaluates the paper's three algorithms (SEE, REPS, E2E) on
+// identical instances.
 func RunExperiment(p ExperimentParams) (map[Algorithm]PointResult, error) {
 	res, err := experiment.RunPoint(p.toInternal())
 	if err != nil {

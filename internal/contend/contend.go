@@ -37,14 +37,6 @@ import (
 	"see/internal/topo"
 )
 
-// Weights for the candidate-path enumeration on the segment graph, shared
-// with the greedy engine's pricing: infeasible elements get a prohibitive
-// weight and any path crossing one is rejected.
-const (
-	infeasibleWeight = 1e12
-	rejectThreshold  = 1e11
-)
-
 // Options tunes the contention-aware engine. The embedded
 // sched.EngineOptions carry the knobs every engine shares; their zero
 // Algorithm means sched.Contend (the fault-aware and offline variants
@@ -80,38 +72,6 @@ func DefaultOptions() Options {
 	return Options{Segment: seg, PathsPerPair: 5, RecoveryAttempts: 1}
 }
 
-// hop is one planned segment of a selected path: the endpoint pair, the
-// primary realization with its attempt count, and the optional recovery
-// realization fired only when every primary attempt fails.
-type hop struct {
-	pair     segment.PairKey
-	cand     *segment.Candidate
-	attempts int
-	// recovery is the next-best realization of the same endpoint pair
-	// (nil when none fits the residual resources); recAttempts is its
-	// reserved attempt budget.
-	recovery    *segment.Candidate
-	recAttempts int
-}
-
-// plannedPath is one accepted entanglement path with its score at
-// acceptance time.
-type plannedPath struct {
-	commodity int
-	nodes     graph.Path
-	hops      []hop
-	score     float64
-}
-
-// fixed is the path as the slot frame's fixed-path stitch sees it.
-func (pp plannedPath) fixed() sched.FixedPath {
-	fp := sched.FixedPath{Commodity: pp.commodity, Nodes: pp.nodes}
-	for _, h := range pp.hops {
-		fp.Hops = append(fp.Hops, h.pair)
-	}
-	return fp
-}
-
 // Engine runs contention-aware time slots over a fixed network and
 // workload.
 type Engine struct {
@@ -121,10 +81,13 @@ type Engine struct {
 	// ConnCap is the per-pair connection cap min(m_s, m_d).
 	ConnCap []int
 
-	paths    []plannedPath
+	paths    []sched.FixedPath
 	plan     qnet.AttemptPlan
 	recovery qnet.AttemptPlan
-	expected float64
+	// recoveryHops lists the recovery realization reserved for planned
+	// hops, in path and hop order, with its endpoint pair and attempts.
+	recoveryHops []sched.FixedHop
+	expected     float64
 
 	opts Options
 	// avail is the recovery pass's per-slot count of realized segments per
@@ -190,27 +153,10 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, e
 		avail:   make(map[segment.PairKey]int),
 	}
 	e.buildPlan()
-	fixed := make([]sched.FixedPath, len(e.paths))
-	for i, pp := range e.paths {
-		fixed[i] = pp.fixed()
-	}
-	steps := sched.FixedSteps(e.UpperBound, fixed, e.plan, e.recovery, connCap)
+	steps := sched.FixedSteps(e.UpperBound, e.paths, e.plan, e.recovery, connCap)
 	steps.Recover = e.recoverStep
 	e.Init(net, len(pairs), opts.EngineOptions, set.CandidateFor, steps)
 	return e, nil
-}
-
-// attemptCost is the expected number of attempts a unit of flow costs on
-// the candidate: 1/(p·√(q_u·q_v)), the metric the LP prices columns with
-// (+Inf when the realization cannot support flow).
-func attemptCost(net *topo.Network, c *segment.Candidate) float64 {
-	qu := net.SwapProb[c.Path[0]]
-	qv := net.SwapProb[c.Path[len(c.Path)-1]]
-	den := c.Prob * math.Sqrt(qu*qv)
-	if den <= 1e-12 {
-		return math.Inf(1)
-	}
-	return 1 / den
 }
 
 // candidatePaths enumerates the per-pair candidate entanglement paths on
@@ -218,22 +164,16 @@ func attemptCost(net *topo.Network, c *segment.Candidate) float64 {
 // with −ln q node weights, the same weights the greedy planner routes
 // with).
 func (e *Engine) candidatePaths() [][]graph.Path {
-	nodeWeight := func(u int) float64 {
-		q := e.Net.SwapProb[u]
-		if q <= 0 {
-			return infeasibleWeight
-		}
-		return -math.Log(q)
-	}
+	nodeWeight := sched.SwapNodeWeight(e.Net)
 	edgeWeight := func(id int, _ float64) float64 {
 		best := math.Inf(1)
 		for _, c := range e.Set.ByPair[e.Set.EdgePairs[id]] {
-			if cost := attemptCost(e.Net, c); cost < best {
+			if cost := c.AttemptCost(e.Net); cost < best {
 				best = cost
 			}
 		}
 		if math.IsInf(best, 1) {
-			return infeasibleWeight
+			return sched.InfeasibleWeight
 		}
 		return best
 	}
@@ -273,7 +213,7 @@ func (e *Engine) cheapestFeasible(r *residual, pk segment.PairKey, not *segment.
 		if !fits {
 			continue
 		}
-		if cost := attemptCost(e.Net, c); cost < bestCost {
+		if cost := c.AttemptCost(e.Net); cost < bestCost {
 			best, bestCost = c, cost
 		}
 	}
@@ -308,9 +248,9 @@ func widthFor(r *residual, c *segment.Candidate, pk segment.PairKey, want int) i
 // get, with each hop priced on its cheapest still-feasible realization. It
 // returns the score and the concrete hop plan (nil when any hop has no
 // feasible realization).
-func (e *Engine) scorePath(r *residual, nodes graph.Path) (float64, []hop) {
+func (e *Engine) scorePath(r *residual, nodes graph.Path) (float64, []sched.FixedHop) {
 	score := 1.0
-	hops := make([]hop, 0, len(nodes)-1)
+	hops := make([]sched.FixedHop, 0, len(nodes)-1)
 	// Hop reservations within one path compound, so simulate them on a
 	// scratch copy of the residual state (paths share endpoints with
 	// themselves when they revisit a node's memory).
@@ -334,7 +274,7 @@ func (e *Engine) scorePath(r *residual, nodes graph.Path) (float64, []hop) {
 		scratch.memory[pk.U] -= n
 		scratch.memory[pk.V] -= n
 		score *= 1 - math.Pow(1-cand.Prob, float64(n))
-		hops = append(hops, hop{pair: pk, cand: cand, attempts: n})
+		hops = append(hops, sched.FixedHop{Pair: pk, Cand: cand, Attempts: n})
 	}
 	for j := 1; j+1 < len(nodes); j++ {
 		score *= e.Net.SwapProb[nodes[j]]
@@ -361,7 +301,7 @@ func (e *Engine) buildPlan() {
 	for {
 		bestScore := 0.0
 		bestPair, bestIdx := -1, -1
-		var bestHops []hop
+		var bestHops []sched.FixedHop
 		for i := range e.Pairs {
 			if planned[i] >= e.ConnCap[i] {
 				continue
@@ -376,40 +316,41 @@ func (e *Engine) buildPlan() {
 		if bestPair < 0 || bestScore <= 0 {
 			break
 		}
-		// Charge the accepted path's primary reservations.
-		for _, h := range bestHops {
-			for _, id := range h.cand.EdgeIDs {
-				r.channels[id] -= h.attempts
-			}
-			r.memory[h.pair.U] -= h.attempts
-			r.memory[h.pair.V] -= h.attempts
-		}
-		// Reserve recovery attempts on the next-best disjoint realization
-		// of each hop, within whatever resources remain.
-		pp := plannedPath{commodity: bestPair, nodes: cands[bestPair][bestIdx], score: bestScore}
-		for _, h := range bestHops {
-			if e.opts.RecoveryAttempts > 0 {
-				if rec, cost := e.cheapestFeasible(r, h.pair, h.cand); rec != nil && !math.IsInf(cost, 1) {
-					if n := widthFor(r, rec, h.pair, e.opts.RecoveryAttempts); n >= 1 {
-						for _, id := range rec.EdgeIDs {
-							r.channels[id] -= n
-						}
-						r.memory[h.pair.U] -= n
-						r.memory[h.pair.V] -= n
-						h.recovery, h.recAttempts = rec, n
-						e.recovery[rec] += n
-					}
-				}
-			}
-			pp.hops = append(pp.hops, h)
-			e.plan[h.cand] += h.attempts
-		}
-		e.paths = append(e.paths, pp)
+		e.accept(r, bestPair, cands[bestPair][bestIdx], bestHops, bestScore)
 		planned[bestPair]++
 	}
-	for _, pp := range e.paths {
-		e.expected += pp.score
+}
+
+// accept fixes a selected path: it charges the path's primary
+// reservations against the residuals, then reserves recovery attempts on
+// the next-best disjoint realization of each hop within whatever
+// resources remain, and adds the path's score to the plan's value.
+func (e *Engine) accept(r *residual, commodity int, nodes graph.Path, hops []sched.FixedHop, score float64) {
+	for _, h := range hops {
+		for _, id := range h.Cand.EdgeIDs {
+			r.channels[id] -= h.Attempts
+		}
+		r.memory[h.Pair.U] -= h.Attempts
+		r.memory[h.Pair.V] -= h.Attempts
 	}
+	for _, h := range hops {
+		if e.opts.RecoveryAttempts > 0 {
+			if rec, cost := e.cheapestFeasible(r, h.Pair, h.Cand); rec != nil && !math.IsInf(cost, 1) {
+				if n := widthFor(r, rec, h.Pair, e.opts.RecoveryAttempts); n >= 1 {
+					for _, id := range rec.EdgeIDs {
+						r.channels[id] -= n
+					}
+					r.memory[h.Pair.U] -= n
+					r.memory[h.Pair.V] -= n
+					e.recoveryHops = append(e.recoveryHops, sched.FixedHop{Pair: h.Pair, Cand: rec, Attempts: n})
+					e.recovery[rec] += n
+				}
+			}
+		}
+		e.plan[h.Cand] += h.Attempts
+	}
+	e.paths = append(e.paths, sched.FixedPath{Commodity: commodity, Nodes: nodes, Hops: hops})
+	e.expected += score
 }
 
 // startingResidual seeds the contention state from the planning capacity
@@ -448,7 +389,7 @@ func (e *Engine) buildPlanOffline() {
 	cands := e.candidatePaths()
 	type offlinePath struct {
 		nodes graph.Path
-		hops  []hop
+		hops  []sched.FixedHop
 		score float64
 	}
 	scored := make([][]offlinePath, len(e.Pairs))
@@ -471,21 +412,21 @@ func (e *Engine) buildPlanOffline() {
 	// fits reports whether the residual covers every hop at its full
 	// pre-computed width (hops of one path may share links and endpoints,
 	// so charge a scratch copy).
-	fits := func(hops []hop) bool {
+	fits := func(hops []sched.FixedHop) bool {
 		scratch := &residual{
 			channels: append([]int(nil), r.channels...),
 			memory:   append([]int(nil), r.memory...),
 		}
 		for _, h := range hops {
-			for _, id := range h.cand.EdgeIDs {
-				scratch.channels[id] -= h.attempts
+			for _, id := range h.Cand.EdgeIDs {
+				scratch.channels[id] -= h.Attempts
 				if scratch.channels[id] < 0 {
 					return false
 				}
 			}
-			scratch.memory[h.pair.U] -= h.attempts
-			scratch.memory[h.pair.V] -= h.attempts
-			if scratch.memory[h.pair.U] < 0 || scratch.memory[h.pair.V] < 0 {
+			scratch.memory[h.Pair.U] -= h.Attempts
+			scratch.memory[h.Pair.V] -= h.Attempts
+			if scratch.memory[h.Pair.U] < 0 || scratch.memory[h.Pair.V] < 0 {
 				return false
 			}
 		}
@@ -510,41 +451,13 @@ func (e *Engine) buildPlanOffline() {
 				continue
 			}
 			op := scored[i][accepted]
-			pp := plannedPath{commodity: i, nodes: op.nodes, score: op.score}
-			for _, h := range op.hops {
-				for _, id := range h.cand.EdgeIDs {
-					r.channels[id] -= h.attempts
-				}
-				r.memory[h.pair.U] -= h.attempts
-				r.memory[h.pair.V] -= h.attempts
-			}
-			for _, h := range op.hops {
-				if e.opts.RecoveryAttempts > 0 {
-					if rec, cost := e.cheapestFeasible(r, h.pair, h.cand); rec != nil && !math.IsInf(cost, 1) {
-						if n := widthFor(r, rec, h.pair, e.opts.RecoveryAttempts); n >= 1 {
-							for _, id := range rec.EdgeIDs {
-								r.channels[id] -= n
-							}
-							r.memory[h.pair.U] -= n
-							r.memory[h.pair.V] -= n
-							h.recovery, h.recAttempts = rec, n
-							e.recovery[rec] += n
-						}
-					}
-				}
-				pp.hops = append(pp.hops, h)
-				e.plan[h.cand] += h.attempts
-			}
-			e.paths = append(e.paths, pp)
+			e.accept(r, i, op.nodes, op.hops, op.score)
 			planned[i]++
 			progress = true
 		}
 		if !progress {
 			break
 		}
-	}
-	for _, pp := range e.paths {
-		e.expected += pp.score
 	}
 }
 
@@ -563,20 +476,18 @@ func (e *Engine) recoverStep(s *sched.Slot, created []*qnet.Segment) []*qnet.Seg
 		avail[seg.Pair()]++
 	}
 	fired := 0
-	for _, pp := range e.paths {
-		for _, h := range pp.hops {
-			if h.recovery == nil || avail[h.pair] > 0 {
-				continue
-			}
-			fired += h.recAttempts
-			rec := qnet.AttemptAllFaulty(qnet.AttemptPlan{h.recovery: h.recAttempts}, s.Rng, s.Faults, s.Observe)
-			s.Result.SegmentsCreated += len(rec)
-			rec, _ = qnet.ApplyDecoherence(rec, s.Faults)
-			for _, seg := range rec {
-				avail[seg.Pair()]++
-			}
-			created = append(created, rec...)
+	for _, h := range e.recoveryHops {
+		if avail[h.Pair] > 0 {
+			continue
 		}
+		fired += h.Attempts
+		rec := qnet.AttemptAllFaulty(qnet.AttemptPlan{h.Cand: h.Attempts}, s.Rng, s.Faults, s.Observe)
+		s.Result.SegmentsCreated += len(rec)
+		rec, _ = qnet.ApplyDecoherence(rec, s.Faults)
+		for _, seg := range rec {
+			avail[seg.Pair()]++
+		}
+		created = append(created, rec...)
 	}
 	if fired > 0 {
 		s.Tracer.Incident(sched.IncidentRecovery, fired)

@@ -2,9 +2,12 @@
 // engines: it maps a sched.Algorithm to the package implementing it
 // (internal/core for SEE, SEE-Aware and E2E; internal/reps;
 // internal/greedy; internal/contend for Contend, Contend-Aware and QPass;
-// internal/oracle) and translates the shared Config into each engine's
-// options. Both the public API (package see) and the experiment harness
-// build engines here, so no algorithm type-switch exists anywhere else.
+// internal/oracle) and translates the shared Config — the one struct that
+// declares every scheduler knob — into each engine's options. Both the
+// public API (package see) and the experiment harness build schedulers
+// through New, which also assembles the fault injector, the degradation
+// ladder and the carry-over bank, so no algorithm type-switch and no
+// scheduler assembly exists anywhere else.
 //
 // The package also owns the degradation ladder (NewResilient): when an
 // LP-based engine's construction exceeds its slot budget or fails, the
@@ -34,8 +37,10 @@ import (
 	"see/internal/warm"
 )
 
-// Config tunes an engine; the zero value selects paper defaults for every
-// scheme.
+// Config is the one declaration of every scheduler knob: the public API
+// (see.SchedulerOptions is an alias of it), the experiment harness and
+// the CLI all build schedulers from it. The zero value selects paper
+// defaults for every scheme and builds a bare, memoryless engine.
 type Config struct {
 	// KPaths is the Yen candidate-path budget per SD pair (0 = default:
 	// 5 for SEE/REPS/Greedy, 1 for E2E).
@@ -54,37 +59,119 @@ type Config struct {
 	PlainObjective bool
 	// Workers bounds the goroutines used by the LP pricing rounds of every
 	// scheme (0 = GOMAXPROCS, 1 = serial; see flow.Options.Workers).
-	// Results are byte-identical at any worker count.
+	// Results are byte-identical at any worker count, so the knob trades
+	// construction latency only.
 	Workers int
-	// Tracer observes the slot pipeline; nil means no instrumentation.
+	// Tracer observes the slot pipeline phases (planning, reservation,
+	// physical attempts, stitching) and every incident; nil means no
+	// instrumentation.
 	Tracer sched.Tracer
-	// Chaos injects deterministic faults into every engine's physical
+	// Chaos is a ready-built fault injector for the engine's physical
 	// phase; nil (or a zero-plan injector) leaves engines byte-identical
-	// to a run without the chaos layer.
+	// to a run without the chaos layer. Most callers set Faults instead
+	// and let New build the injector; setting both is an error.
 	Chaos *chaos.Injector
+	// Faults is a deterministic fault schedule (node crashes, link
+	// outages, correlated cuts, brownouts, flapping links, control-message
+	// loss, memory decoherence). New builds a fresh injector from it on
+	// every call — injectors hold per-slot state, so two schedulers never
+	// share one. Nil (or a zero plan) injects nothing.
+	Faults *chaos.FaultPlan
+	// SlotBudget bounds the LP solve, which then runs lazily inside the
+	// first slot. When the solve exceeds the budget or fails, the slot
+	// degrades to the greedy fallback and the LP is retried on later slots
+	// a bounded number of times, each step reported through the Tracer as
+	// an incident (see Resilient). Zero means no budget and no ladder.
+	SlotBudget time.Duration
+	// CarrySlots enables the cross-slot entanglement-state bank (see
+	// internal/state and DESIGN.md §6) and sets its age window: realized
+	// segments no connection consumed stay in node memories, within each
+	// node's memory size m_u, for this many slot boundaries and substitute
+	// for planned creation attempts when withdrawn. Banked segments also
+	// decohere stochastically at each boundary with the Faults plan's
+	// decoherence probability (zero without a plan). Zero means no bank:
+	// the scheduler is memoryless.
+	CarrySlots int
+	// CarryWernerRetention, with CarrySlots, ages banked segments: a
+	// segment withdrawn n slot boundaries after creation has its Werner
+	// parameter scaled by retention^n. 0 (or >= 1) disables aging. See
+	// state.Policy.WernerRetention.
+	CarryWernerRetention float64
+	// CarryMinWernerScale, with CarrySlots, stops a withdrawn segment
+	// whose decayed Werner scale fell below the threshold from
+	// substituting for planned creation attempts. See
+	// state.Policy.MinWernerScale.
+	CarryMinWernerScale float64
+	// CarryAwareLP, with CarrySlots, re-prices the SEE LP at the start of
+	// any slot that withdrew banked segments, so column generation prefers
+	// stitches that reuse carried inventory. Without banked inventory the
+	// slot runs the unmodified LP (see flow.Options.CarryWeights).
+	CarryAwareLP bool
 	// Warm, when non-nil, memoizes segment-candidate sets and LP solutions
-	// across engine (re)builds over the same network (see internal/warm).
-	// Every replayed artifact is byte-identical to a cold build, and
-	// budgeted construction (a non-nil ctx) bypasses the cache, so enabling
+	// across engine (re)builds over the same network (see internal/warm
+	// and DESIGN.md §9). Every replayed artifact is byte-identical to a
+	// cold build, and budgeted construction bypasses the cache, so enabling
 	// it never changes results — only how fast rebuilds go.
 	Warm *warm.Cache
 	// FidelityFloors is the per-request minimum delivered end-to-end
-	// fidelity (see qnet.FloorSpec and DESIGN.md §10). Engines never
-	// attempt a candidate assembly whose predicted fidelity misses its
-	// pair's floor. Nil (or an all-zero spec) disables enforcement and
-	// leaves every engine byte-identical to pre-floor behavior.
+	// fidelity (see qnet.FloorSpec and DESIGN.md §10). The stitch phase
+	// never attempts a candidate assembly whose predicted fidelity misses
+	// its pair's floor; the rejection is reported as IncidentFloorReject
+	// and in SlotResult.FloorRejected. Nil (or an all-zero spec) disables
+	// enforcement and leaves every engine byte-identical to pre-floor
+	// behavior.
 	FidelityFloors *qnet.FloorSpec
 	// SwapOrder selects the stitch phase's swap schedule. The zero value
-	// (qnet.SwapOrderPath) is the historical left-to-right path order and
-	// is byte-identical to pre-knob behavior; qnet.SwapOrderGreedy swaps
-	// the least reliable junction first.
+	// (qnet.SwapOrderPath) samples a connection's junction swaps from
+	// source to destination; qnet.SwapOrderGreedy swaps the least reliable
+	// junction first, so doomed connections fail before burning spare
+	// segments. Delivered fidelity is swap-order-independent; throughput
+	// is not.
 	SwapOrder qnet.SwapOrder
-	// CarryAwareLP re-prices the SEE LP each slot with banked-inventory
-	// weights, so column generation prefers stitches that reuse
-	// high-fidelity carried segments (no-op without an attached bank or
-	// with an empty one; see flow.Options.CarryWeights).
-	CarryAwareLP bool
 }
+
+// Validate rejects a configuration no scheduler can honour. New calls it
+// before building anything, and so does every layer that accepts a Config
+// (experiment.Params.Validate), so a bad knob fails the same way at every
+// entry point.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.KPaths < 0:
+		return fmt.Errorf("engines: negative KPaths %d", cfg.KPaths)
+	case cfg.MaxSegmentHops < 0:
+		return fmt.Errorf("engines: negative MaxSegmentHops %d", cfg.MaxSegmentHops)
+	case !inUnit(cfg.MinSegmentProb):
+		return fmt.Errorf("engines: MinSegmentProb %v outside [0,1]", cfg.MinSegmentProb)
+	case cfg.Workers < 0:
+		return fmt.Errorf("engines: negative Workers %d (0 selects GOMAXPROCS)", cfg.Workers)
+	case cfg.Faults != nil && cfg.Chaos != nil:
+		return errors.New("engines: both Faults and Chaos set (New builds the injector from Faults)")
+	case cfg.SlotBudget < 0:
+		return fmt.Errorf("engines: negative SlotBudget %v", cfg.SlotBudget)
+	case cfg.CarrySlots < 0:
+		return fmt.Errorf("engines: negative CarrySlots %d", cfg.CarrySlots)
+	case !(cfg.CarryWernerRetention >= 0):
+		return fmt.Errorf("engines: CarryWernerRetention %v is negative or NaN", cfg.CarryWernerRetention)
+	case !(cfg.CarryMinWernerScale >= 0):
+		return fmt.Errorf("engines: CarryMinWernerScale %v is negative or NaN", cfg.CarryMinWernerScale)
+	case cfg.SwapOrder != qnet.SwapOrderPath && cfg.SwapOrder != qnet.SwapOrderGreedy:
+		return fmt.Errorf("engines: unknown SwapOrder %v", cfg.SwapOrder)
+	}
+	if f := cfg.FidelityFloors; f != nil {
+		if !inUnit(f.Default) {
+			return fmt.Errorf("engines: fidelity floor %v outside [0,1]", f.Default)
+		}
+		for pair, v := range f.PerPair {
+			if !inUnit(v) {
+				return fmt.Errorf("engines: fidelity floor %v for pair %d outside [0,1]", v, pair)
+			}
+		}
+	}
+	return nil
+}
+
+// inUnit reports whether v lies in [0,1]; NaN does not.
+func inUnit(v float64) bool { return v >= 0 && v <= 1 }
 
 // Builder constructs one scheme's engine; ctx (nil = never cancelled)
 // bounds any LP solves the construction performs.
@@ -116,15 +203,57 @@ func List() []sched.Algorithm {
 	return out
 }
 
-// New builds the engine for the given algorithm.
+// New builds the whole scheduler for the given algorithm from cfg. It
+// validates cfg, builds a fresh chaos injector from Faults, wraps the
+// engine in the degradation ladder when SlotBudget > 0, and attaches a
+// carry-over bank when CarrySlots > 0; the bank's stochastic boundary
+// hazard and its seed come from the fault plan. A config that sets none of
+// Faults, SlotBudget and CarrySlots builds the bare engine NewCtx builds.
 func New(alg sched.Algorithm, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	return NewCtx(nil, alg, net, pairs, cfg)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if net == nil {
+		return nil, errors.New("engines: nil network")
+	}
+	pol := state.Policy{
+		CarrySlots:      cfg.CarrySlots,
+		WernerRetention: cfg.CarryWernerRetention,
+		MinWernerScale:  cfg.CarryMinWernerScale,
+	}
+	if cfg.Faults != nil {
+		inj, err := chaos.NewInjector(cfg.Faults, net)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Chaos = inj
+		pol.Decoherence, pol.Seed = cfg.Faults.Decoherence, cfg.Faults.Seed
+	}
+	var eng sched.Engine
+	var err error
+	if cfg.SlotBudget > 0 {
+		eng, err = NewResilient(alg, net, pairs, cfg, cfg.SlotBudget)
+	} else {
+		eng, err = NewCtx(nil, alg, net, pairs, cfg)
+	}
+	if err != nil || cfg.CarrySlots == 0 {
+		return eng, err
+	}
+	st, ok := eng.(sched.Stateful)
+	if !ok {
+		return nil, fmt.Errorf("engines: %v does not carry state across slots", alg)
+	}
+	st.AttachBank(state.NewBank(net, pol))
+	return eng, nil
 }
 
-// NewCtx is New with construction bounded by a context (nil = never
-// cancelled): LP-based engines abort their solve with an error wrapping
-// ctx.Err() once the deadline expires. The greedy engine solves no LP and
-// ignores the context.
+// NewCtx builds the bare engine, with construction bounded by a context
+// (nil = never cancelled): LP-based engines abort their solve with an
+// error wrapping ctx.Err() once the deadline expires. The greedy engine
+// solves no LP and ignores the context. NewCtx neither validates cfg nor
+// acts on Faults, SlotBudget or CarrySlots — it is the raw build New and
+// the degradation ladder's inner builds share, so nothing is wrapped or
+// banked twice.
 func NewCtx(ctx context.Context, alg sched.Algorithm, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
 	if net == nil {
 		return nil, errors.New("engines: nil network")

@@ -7,22 +7,19 @@
 // each scheduler on the *same* instance (paired comparison), and records the
 // established connections. A trial runs Params.Slots consecutive time slots
 // per scheduler (default 1, the paper's setting) and reports per-slot
-// throughput; Params.CarryOver additionally banks unconsumed segments across
+// throughput; Params.CarrySlots additionally banks unconsumed segments across
 // those slots (see internal/state).
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
-	"see/internal/chaos"
 	"see/internal/engines"
 	"see/internal/metrics"
-	"see/internal/qnet"
 	"see/internal/sched"
-	"see/internal/state"
 	"see/internal/topo"
 	"see/internal/xrand"
 )
@@ -54,77 +51,42 @@ type Params struct {
 	Trials int
 	// BaseSeed drives all randomness; trial t uses xrand.ForTrial.
 	BaseSeed int64
-
-	// KPaths and MaxSegmentHops tune candidate enumeration for SEE.
-	KPaths         int
-	MaxSegmentHops int
-	// StrictProvisioning switches SEE's ESC to the paper-literal mode.
-	StrictProvisioning bool
-	// Workers bounds the goroutines running trials concurrently and, inside
-	// each trial, the goroutines of every engine's LP pricing rounds; 0
-	// means GOMAXPROCS. Trials are seeded independently and the pricing
-	// parallelism is deterministic, so the results are byte-identical to a
-	// serial run regardless of scheduling or worker count.
-	Workers int
-	// Tracer observes every engine's slot pipeline across all trials and
-	// algorithms. Trials run concurrently, so the implementation must be
-	// safe for concurrent use (sched.CountingTracer is). nil disables
-	// instrumentation.
-	Tracer sched.Tracer
-	// Faults is a deterministic fault schedule applied to every trial.
-	// Each engine gets its own injector built from this plan (injectors
-	// hold per-slot state and are not safe to share), so trials stay
-	// independently seeded and byte-identical across worker counts. nil
-	// disables fault injection.
-	Faults *chaos.FaultPlan
-	// SlotBudget bounds each engine's LP solve; on timeout or failure the
-	// slot degrades to the greedy fallback (see engines.NewResilient).
-	// Zero means no budget.
-	SlotBudget time.Duration
 	// Slots is the number of consecutive time slots each trial runs per
 	// algorithm (default 1, the paper's single-slot evaluation). The
 	// reported throughput is established connections per slot, so
 	// single-slot and multi-slot points are directly comparable.
 	Slots int
-	// CarryOver attaches a cross-slot state bank to every engine (see
-	// internal/state): realized-but-unconsumed segments survive slot
-	// boundaries within node memories. Only meaningful with Slots > 1.
-	CarryOver bool
-	// DecoherenceSlots is the bank's age window (default 1); see
-	// state.Policy.CarrySlots.
-	DecoherenceSlots int
 	// Algorithms selects the schemes each trial runs and compares. nil
 	// means the paper's trio (SEE, REPS, E2E); extend it with sched.Greedy
 	// or sched.Contend to sweep the repo-grown baselines on the same
 	// instances.
 	Algorithms []Algorithm
-	// FidelityFloors enforces per-request minimum delivered fidelity in
-	// every engine's stitch phase (see qnet.FloorSpec); nil or all-zero
-	// disables enforcement and keeps trials byte-identical to the
-	// pre-floor pipeline.
-	FidelityFloors *qnet.FloorSpec
-	// SwapOrder selects the junction-swap sampling order (path order by
-	// default; see qnet.SwapOrder).
-	SwapOrder qnet.SwapOrder
-	// CarryAwareLP re-prices the provisioning LP on slots that withdrew
-	// banked segments (only meaningful with CarryOver).
-	CarryAwareLP bool
+
+	// Config builds every engine of every trial through engines.New, so
+	// each engine gets its own fault injector (Faults) and its own
+	// carry-over bank (CarrySlots). Workers also bounds the goroutines
+	// running trials concurrently; trials are seeded independently and
+	// the pricing parallelism is deterministic, so the results are
+	// byte-identical to a serial run at any worker count. Trials run
+	// concurrently, so a Tracer must be safe for concurrent use
+	// (sched.CountingTracer is). Chaos must stay nil: an injector holds
+	// per-slot state and cannot be shared across engines.
+	engines.Config
 }
 
 // DefaultParams returns the paper's default setting.
 func DefaultParams() Params {
 	return Params{
-		Nodes:          200,
-		SDPairs:        20,
-		Channels:       3,
-		Memory:         10,
-		SwapProb:       0.9,
-		Alpha:          2e-4,
-		Delta:          0.05,
-		Trials:         100,
-		BaseSeed:       20220101,
-		KPaths:         5,
-		MaxSegmentHops: 10,
+		Nodes:    200,
+		SDPairs:  20,
+		Channels: 3,
+		Memory:   10,
+		SwapProb: 0.9,
+		Alpha:    2e-4,
+		Delta:    0.05,
+		Trials:   100,
+		BaseSeed: 20220101,
+		Config:   engines.Config{KPaths: 5, MaxSegmentHops: 10},
 	}
 }
 
@@ -139,8 +101,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("experiment: Trials must be positive, got %d", p.Trials)
 	case p.Slots < 0:
 		return fmt.Errorf("experiment: negative Slots %d", p.Slots)
-	case p.Workers < 0:
-		return fmt.Errorf("experiment: negative Workers %d (0 selects GOMAXPROCS)", p.Workers)
 	case p.Nodes <= 0:
 		return fmt.Errorf("experiment: Nodes must be positive, got %d", p.Nodes)
 	case p.SDPairs < 0:
@@ -155,36 +115,15 @@ func (p Params) Validate() error {
 		return fmt.Errorf("experiment: negative Alpha %v", p.Alpha)
 	case p.Delta < 0:
 		return fmt.Errorf("experiment: negative Delta %v", p.Delta)
-	case p.KPaths < 0:
-		return fmt.Errorf("experiment: negative KPaths %d", p.KPaths)
-	case p.MaxSegmentHops < 0:
-		return fmt.Errorf("experiment: negative MaxSegmentHops %d", p.MaxSegmentHops)
-	case p.SlotBudget < 0:
-		return fmt.Errorf("experiment: negative SlotBudget %v", p.SlotBudget)
-	case p.DecoherenceSlots < 0:
-		return fmt.Errorf("experiment: negative DecoherenceSlots %d", p.DecoherenceSlots)
+	case p.Chaos != nil:
+		return errors.New("experiment: Chaos set (set Faults: every engine needs its own injector)")
 	}
 	for _, alg := range p.Algorithms {
 		if !engines.Registered(alg) {
 			return fmt.Errorf("experiment: unknown algorithm %v", alg)
 		}
 	}
-	if f := p.FidelityFloors; f != nil {
-		if f.Default < 0 || f.Default > 1 {
-			return fmt.Errorf("experiment: fidelity floor %v outside [0,1]", f.Default)
-		}
-		for pair, v := range f.PerPair {
-			if v < 0 || v > 1 {
-				return fmt.Errorf("experiment: fidelity floor %v for pair %d outside [0,1]", v, pair)
-			}
-		}
-	}
-	switch p.SwapOrder {
-	case qnet.SwapOrderPath, qnet.SwapOrderGreedy:
-	default:
-		return fmt.Errorf("experiment: unknown SwapOrder %v", p.SwapOrder)
-	}
-	return nil
+	return p.Config.Validate()
 }
 
 // algorithms returns the schemes this run compares (the paper trio when
@@ -205,22 +144,6 @@ func (p Params) topoConfig() topo.Config {
 	cfg.Alpha = p.Alpha
 	cfg.Delta = p.Delta
 	return cfg
-}
-
-// engineConfig translates the harness parameters into the shared engine
-// configuration; the same config drives all three schemes, so every trial
-// builds its engines through the one internal/engines factory.
-func (p Params) engineConfig() engines.Config {
-	return engines.Config{
-		KPaths:             p.KPaths,
-		MaxSegmentHops:     p.MaxSegmentHops,
-		StrictProvisioning: p.StrictProvisioning,
-		Workers:            p.Workers,
-		Tracer:             p.Tracer,
-		FidelityFloors:     p.FidelityFloors,
-		SwapOrder:          p.SwapOrder,
-		CarryAwareLP:       p.CarryAwareLP,
-	}
 }
 
 // PointResult aggregates one (configuration, algorithm) data point.
@@ -304,15 +227,6 @@ func RunPoint(p Params) (map[Algorithm]PointResult, error) {
 	return out, nil
 }
 
-// buildEngine constructs one scheme's engine, wrapping it in the
-// degradation ladder when a slot budget is set.
-func buildEngine(alg Algorithm, net *topo.Network, pairs []topo.SDPair, cfg engines.Config, budget time.Duration) (sched.Engine, error) {
-	if budget > 0 {
-		return engines.NewResilient(alg, net, pairs, cfg, budget)
-	}
-	return engines.New(alg, net, pairs, cfg)
-}
-
 // runTrial draws one instance and runs every algorithm's slot on it.
 func (p Params) runTrial(trial int) trialOutcome {
 	algs := p.algorithms()
@@ -331,35 +245,10 @@ func (p Params) runTrial(trial int) trialOutcome {
 	pairs := topo.ChooseSDPairs(net, p.SDPairs, pairRng)
 	for _, alg := range algs {
 		slotRng := xrand.Split(rng)
-		// Each engine needs its own injector: injectors track per-slot
-		// state, so sharing one across engines (or trials) would couple
-		// their fault streams.
-		cfg := p.engineConfig()
-		if p.Faults != nil {
-			inj, err := chaos.NewInjector(p.Faults, net)
-			if err != nil {
-				oc.err = fmt.Errorf("%v: %w", alg, err)
-				return oc
-			}
-			cfg.Chaos = inj
-		}
-		eng, err := buildEngine(alg, net, pairs, cfg, p.SlotBudget)
+		eng, err := engines.New(alg, net, pairs, p.Config)
 		if err != nil {
 			oc.err = fmt.Errorf("%v: %w", alg, err)
 			return oc
-		}
-		if p.CarryOver {
-			st, ok := eng.(sched.Stateful)
-			if !ok {
-				oc.err = fmt.Errorf("%v: engine does not support carry-over", alg)
-				return oc
-			}
-			pol := state.Policy{CarrySlots: p.DecoherenceSlots}
-			if p.Faults != nil {
-				pol.Decoherence = p.Faults.Decoherence
-				pol.Seed = p.Faults.Seed
-			}
-			st.AttachBank(state.NewBank(net, pol))
 		}
 		slots := p.Slots
 		if slots <= 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"see/internal/qnet"
 	"see/internal/sched"
 )
 
@@ -266,7 +267,7 @@ func TestParamsValidate(t *testing.T) {
 		{"negative kpaths", func(p *Params) { p.KPaths = -1 }},
 		{"negative hops", func(p *Params) { p.MaxSegmentHops = -1 }},
 		{"negative budget", func(p *Params) { p.SlotBudget = -time.Second }},
-		{"negative decoherence", func(p *Params) { p.DecoherenceSlots = -1 }},
+		{"negative carry window", func(p *Params) { p.CarrySlots = -1 }},
 		{"unknown algorithm", func(p *Params) { p.Algorithms = []Algorithm{Algorithm(99)} }},
 	}
 	for _, tc := range cases {
@@ -284,5 +285,30 @@ func TestParamsValidate(t *testing.T) {
 	p.Algorithms = []Algorithm{sched.Greedy, sched.Contend}
 	if err := p.Validate(); err != nil {
 		t.Errorf("registered baselines rejected: %v", err)
+	}
+}
+
+// TestCarryRetentionReachesTrials checks that the carry bank's Werner
+// aging reaches every engine of a multi-slot carry run: with a fidelity
+// floor, aged carried segments fail the floor where fresh ones pass, so
+// the retention knob must move the sweep's throughput.
+func TestCarryRetentionReachesTrials(t *testing.T) {
+	p := DefaultParams()
+	p.Nodes, p.SDPairs, p.Trials, p.Slots, p.Workers = 40, 6, 3, 6, 1
+	p.CarrySlots = 3
+	p.FidelityFloors = &qnet.FloorSpec{Default: 0.8}
+	fresh, err := RunPoint(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.CarryWernerRetention = 0.5
+	aged, err := RunPoint(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []Algorithm{SEE, REPS} {
+		if f, a := fresh[alg].Throughput.Mean, aged[alg].Throughput.Mean; a >= f {
+			t.Errorf("%v: aging carried segments did not cost throughput under a floor: %v fresh, %v aged", alg, f, a)
+		}
 	}
 }

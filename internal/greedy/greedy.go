@@ -25,14 +25,6 @@ import (
 	"see/internal/topo"
 )
 
-// Pricing constants for the planning shortest path: infeasible edges get a
-// prohibitive weight, and any path that crosses one is rejected (same
-// pattern as ECE's auxiliary-graph weights).
-const (
-	infeasibleWeight = 1e12
-	rejectThreshold  = 1e11
-)
-
 // Options tunes the greedy engine. The embedded sched.EngineOptions carry
 // the knobs every engine shares; their zero Algorithm means sched.Greedy,
 // and PlanChannels and PlanMemory are ignored (the greedy plans on the
@@ -52,30 +44,6 @@ func DefaultOptions() Options {
 	return Options{Segment: seg, EngineOptions: sched.EngineOptions{Algorithm: sched.Greedy}}
 }
 
-// hop is one planned segment: the endpoint pair, the physical realization
-// reserved for it and the number of creation attempts.
-type hop struct {
-	pair     segment.PairKey
-	cand     *segment.Candidate
-	attempts int
-}
-
-// plannedPath is one greedy-selected entanglement path.
-type plannedPath struct {
-	commodity int
-	nodes     graph.Path
-	hops      []hop
-}
-
-// fixed is the path as the slot frame's fixed-path stitch sees it.
-func (pp plannedPath) fixed() sched.FixedPath {
-	fp := sched.FixedPath{Commodity: pp.commodity, Nodes: pp.nodes}
-	for _, h := range pp.hops {
-		fp.Hops = append(fp.Hops, h.pair)
-	}
-	return fp
-}
-
 // Engine runs greedy time slots over a fixed network and workload.
 type Engine struct {
 	Net   *topo.Network
@@ -84,7 +52,7 @@ type Engine struct {
 	// ConnCap is the per-pair connection cap.
 	ConnCap []int
 
-	paths    []plannedPath
+	paths    []sched.FixedPath
 	plan     qnet.AttemptPlan
 	expected float64
 
@@ -137,12 +105,8 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, e
 		ConnCap: connCap,
 	}
 	e.buildPlan()
-	fixed := make([]sched.FixedPath, len(e.paths))
-	for i, pp := range e.paths {
-		fixed[i] = pp.fixed()
-	}
 	e.Init(net, len(pairs), opts.EngineOptions, set.CandidateFor,
-		sched.FixedSteps(e.UpperBound, fixed, e.plan, nil, connCap))
+		sched.FixedSteps(e.UpperBound, e.paths, e.plan, nil, connCap))
 	return e, nil
 }
 
@@ -175,7 +139,7 @@ func (e *Engine) buildPlan() {
 			if !fits {
 				continue
 			}
-			cost := attemptCost(e.Net, c)
+			cost := c.AttemptCost(e.Net)
 			if cost < bestCost {
 				best, bestCost = c, cost
 			}
@@ -183,18 +147,12 @@ func (e *Engine) buildPlan() {
 		return best, bestCost
 	}
 
-	nodeWeight := func(u int) float64 {
-		q := e.Net.SwapProb[u]
-		if q <= 0 {
-			return infeasibleWeight
-		}
-		return -math.Log(q)
-	}
+	nodeWeight := sched.SwapNodeWeight(e.Net)
 	edgeWeight := func(id int, _ float64) float64 {
 		if _, cost := cheapestFeasible(e.Set.EdgePairs[id]); !math.IsInf(cost, 1) {
 			return cost
 		}
-		return infeasibleWeight
+		return sched.InfeasibleWeight
 	}
 
 	planned := make([]int, len(e.Pairs))
@@ -208,10 +166,10 @@ func (e *Engine) buildPlan() {
 				NodeWeight: nodeWeight,
 				EdgeWeight: edgeWeight,
 			})
-			if path == nil || dist >= rejectThreshold {
+			if path == nil || dist >= sched.RejectThreshold {
 				continue
 			}
-			pp := plannedPath{commodity: i, nodes: path}
+			pp := sched.FixedPath{Commodity: i, Nodes: path}
 			ok := true
 			for h := 0; h+1 < len(path); h++ {
 				pk := segment.MakePairKey(path[h], path[h+1])
@@ -246,21 +204,21 @@ func (e *Engine) buildPlan() {
 				}
 				memory[pk.U] -= n
 				memory[pk.V] -= n
-				pp.hops = append(pp.hops, hop{pair: pk, cand: cand, attempts: n})
+				pp.Hops = append(pp.Hops, sched.FixedHop{Pair: pk, Cand: cand, Attempts: n})
 			}
 			if !ok {
 				// Roll back this path's partial reservations.
-				for _, h := range pp.hops {
-					for _, id := range h.cand.EdgeIDs {
-						channels[id] += h.attempts
+				for _, h := range pp.Hops {
+					for _, id := range h.Cand.EdgeIDs {
+						channels[id] += h.Attempts
 					}
-					memory[h.pair.U] += h.attempts
-					memory[h.pair.V] += h.attempts
+					memory[h.Pair.U] += h.Attempts
+					memory[h.Pair.V] += h.Attempts
 				}
 				continue
 			}
-			for _, h := range pp.hops {
-				e.plan[h.cand] += h.attempts
+			for _, h := range pp.Hops {
+				e.plan[h.Cand] += h.Attempts
 			}
 			e.paths = append(e.paths, pp)
 			planned[i]++
@@ -273,19 +231,6 @@ func (e *Engine) buildPlan() {
 	e.expected = e.expectedEstablished()
 }
 
-// attemptCost is the expected number of attempts a unit of flow costs on
-// the candidate: 1/(p·√(q_u·q_v)), the same metric the LP prices columns
-// with (+Inf when the realization cannot support flow).
-func attemptCost(net *topo.Network, c *segment.Candidate) float64 {
-	qu := net.SwapProb[c.Path[0]]
-	qv := net.SwapProb[c.Path[len(c.Path)-1]]
-	den := c.Prob * math.Sqrt(qu*qv)
-	if den <= 1e-12 {
-		return math.Inf(1)
-	}
-	return 1 / den
-}
-
 // expectedEstablished is the heuristic value of the plan: per path, the
 // probability every hop realizes at least one segment times the junction
 // swap survival.
@@ -293,11 +238,11 @@ func (e *Engine) expectedEstablished() float64 {
 	var total float64
 	for _, pp := range e.paths {
 		p := 1.0
-		for _, h := range pp.hops {
-			p *= 1 - math.Pow(1-h.cand.Prob, float64(h.attempts))
+		for _, h := range pp.Hops {
+			p *= 1 - math.Pow(1-h.Cand.Prob, float64(h.Attempts))
 		}
-		for j := 1; j+1 < len(pp.nodes); j++ {
-			p *= e.Net.SwapProb[pp.nodes[j]]
+		for j := 1; j+1 < len(pp.Nodes); j++ {
+			p *= e.Net.SwapProb[pp.Nodes[j]]
 		}
 		total += p
 	}

@@ -287,10 +287,10 @@ func fractionalAttempts(net *topo.Network, sol *flow.Solution) []fracAttempt {
 	for _, pf := range sol.Paths {
 		for _, hop := range pf.Hops {
 			c := hop.Cand
-			qu := net.SwapProb[c.Path[0]]
-			qv := net.SwapProb[c.Path[len(c.Path)-1]]
-			den := c.Prob * math.Sqrt(qu*qv)
-			if den <= 1e-12 {
+			// Divide rather than multiply by AttemptCost: the reciprocal
+			// rounds differently and would shift the rounding order.
+			den, ok := c.AttemptRate(net)
+			if !ok {
 				continue
 			}
 			acc[c] += pf.Flow / den

@@ -1,18 +1,50 @@
 package sched
 
 import (
+	"math"
+
 	"see/internal/graph"
 	"see/internal/qnet"
 	"see/internal/segment"
+	"see/internal/topo"
 )
 
+// Routing weights of the fixed-path planners (greedy, contend) on the
+// segment graph: an infeasible element gets a prohibitive weight, and a
+// route as long as RejectThreshold crossed one.
+const (
+	InfeasibleWeight = 1e12
+	RejectThreshold  = 1e11
+)
+
+// SwapNodeWeight returns the fixed-path planners' node weight −ln q_u
+// (junctions must survive their swap), InfeasibleWeight for a node that
+// cannot swap.
+func SwapNodeWeight(net *topo.Network) func(int) float64 {
+	return func(u int) float64 {
+		q := net.SwapProb[u]
+		if q <= 0 {
+			return InfeasibleWeight
+		}
+		return -math.Log(q)
+	}
+}
+
+// FixedHop is one planned segment of a fixed path: the endpoint pair, the
+// physical realization reserved for it and its creation attempts.
+type FixedHop struct {
+	Pair     segment.PairKey
+	Cand     *segment.Candidate
+	Attempts int
+}
+
 // FixedPath is one entanglement path an engine fixed at construction: its
-// SD-pair index, its junction sequence and the segment endpoint pair of
-// each hop.
+// SD-pair index, its junction sequence and the planned segment of each
+// hop.
 type FixedPath struct {
 	Commodity int
 	Nodes     graph.Path
-	Hops      []segment.PairKey
+	Hops      []FixedHop
 }
 
 // FixedSteps returns the steps of an engine whose paths and attempt plan
@@ -70,8 +102,8 @@ func (s *Slot) StitchFixed(pool *qnet.Pool, paths []FixedPath, connCap []int) []
 				continue
 			}
 			ok := true
-			for _, pk := range p.Hops {
-				if pool.Available(pk) < 1 {
+			for _, h := range p.Hops {
+				if pool.Available(h.Pair) < 1 {
 					ok = false
 					break
 				}
@@ -80,8 +112,8 @@ func (s *Slot) StitchFixed(pool *qnet.Pool, paths []FixedPath, connCap []int) []
 				continue
 			}
 			conn := &qnet.Connection{Pair: p.Commodity, Nodes: p.Nodes}
-			for _, pk := range p.Hops {
-				conn.Segments = append(conn.Segments, f.floors.Take(pool, p.Commodity, pk))
+			for _, h := range p.Hops {
+				conn.Segments = append(conn.Segments, f.floors.Take(pool, p.Commodity, h.Pair))
 			}
 			if f.floors.Rejects(p.Commodity, conn.Segments) {
 				for _, seg := range conn.Segments {

@@ -413,7 +413,7 @@ func TestStitchFixed(t *testing.T) {
 	net := frameNet()
 	cands := linkCandidates(net, 1)
 	c := cands[0] // node 0 — node 2
-	paths := []FixedPath{{Commodity: 0, Nodes: graph.Path{c.Path[0], c.Path[1]}, Hops: []segment.PairKey{segment.MakePairKey(c.U(), c.V())}}}
+	paths := []FixedPath{{Commodity: 0, Nodes: graph.Path{c.Path[0], c.Path[1]}, Hops: []FixedHop{{Pair: segment.MakePairKey(c.U(), c.V())}}}}
 	run := func(floors *qnet.FloorSpec) (*SlotResult, *logTracer) {
 		tr := &logTracer{}
 		var f Frame

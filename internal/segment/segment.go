@@ -12,6 +12,7 @@ package segment
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"see/internal/graph"
@@ -40,6 +41,32 @@ func (c *Candidate) V() int { return max(c.Path[0], c.Path[len(c.Path)-1]) }
 
 // Hops returns the number of physical links the candidate spans.
 func (c *Candidate) Hops() int { return c.Path.Hops() }
+
+// minAttemptRate is the attempt rate below which a realization is treated
+// as unable to support flow.
+const minAttemptRate = 1e-12
+
+// AttemptRate returns p·√(q_u q_v): the candidate's creation probability
+// scaled by the geometric mean of its endpoints' swap success. ok is false
+// when the rate is too small to support flow.
+func (c *Candidate) AttemptRate(net *topo.Network) (rate float64, ok bool) {
+	qu := net.SwapProb[c.Path[0]]
+	qv := net.SwapProb[c.Path[len(c.Path)-1]]
+	rate = c.Prob * math.Sqrt(qu*qv)
+	return rate, rate > minAttemptRate
+}
+
+// AttemptCost is the expected number of attempts a unit of flow costs on
+// the candidate, 1/(p·√(q_u q_v)): the metric the LP prices columns with
+// and the non-LP planners route by. It is +Inf when the realization cannot
+// support flow.
+func (c *Candidate) AttemptCost(net *topo.Network) float64 {
+	rate, ok := c.AttemptRate(net)
+	if !ok {
+		return math.Inf(1)
+	}
+	return 1 / rate
+}
 
 // PairKey identifies an unordered segment endpoint pair (U < V).
 type PairKey struct {

@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"math"
 	"testing"
 
 	"see/internal/graph"
@@ -213,5 +214,28 @@ func TestPairKey(t *testing.T) {
 	}
 	if _, ok := pk.Other(5); ok {
 		t.Fatal("Other(non-endpoint) must be false")
+	}
+}
+
+// TestAttemptCost pins the attempt-cost metric 1/(p·√(q_u q_v)) on the
+// motivation fixture and its +Inf guard for a realization that cannot
+// support flow.
+func TestAttemptCost(t *testing.T) {
+	s, net, _ := motivationSet(t, DefaultOptions())
+	c := s.Best(topo.MotivS2, topo.MotivD2)
+	qu, qv := net.SwapProb[c.Path[0]], net.SwapProb[c.Path[len(c.Path)-1]]
+	want := c.Prob * math.Sqrt(qu*qv)
+	if rate, ok := c.AttemptRate(net); !ok || rate != want {
+		t.Fatalf("AttemptRate = %v, %v; want %v, true", rate, ok, want)
+	}
+	if got := c.AttemptCost(net); got != 1/want {
+		t.Fatalf("AttemptCost = %v, want %v", got, 1/want)
+	}
+	dead := &Candidate{Path: c.Path, EdgeIDs: c.EdgeIDs, Prob: 0}
+	if _, ok := dead.AttemptRate(net); ok {
+		t.Error("a zero-probability realization supports flow")
+	}
+	if got := dead.AttemptCost(net); !math.IsInf(got, 1) {
+		t.Errorf("AttemptCost of a dead realization = %v, want +Inf", got)
 	}
 }

@@ -31,6 +31,15 @@ type Process interface {
 // meaningful batching unit anyway.
 const maxRate = 500.0
 
+// maxUsers bounds the request population of a spec: the server keeps two
+// per-user tallies, so the bound caps what one spec string can make it
+// allocate.
+const maxUsers = 1_000_000
+
+// maxDeadline bounds a per-class time-to-live in slots, so a parsed
+// deadline always converts to an int exactly.
+const maxDeadline = math.MaxInt32
+
 // poissonDraw samples Poisson(λ) by Knuth's product method. The number of
 // rng draws varies with the outcome, which is fine: the server's rng cursor
 // counts draws, not slots.
@@ -165,12 +174,12 @@ func (b *Bursty) SetPhase(v int) error {
 //	kind;key=value;key=value;...
 //
 // where kind is poisson, diurnal or bursty. Shared keys: users=N (request
-// population, default 100), mix=g/s/b (class proportions, default
-// 0.2/0.3/0.5, normalized), deadline=g/s/b (per-class time-to-live in
-// slots, default 4/8/16), max-active=K (admission bound on queued
-// requests, default 0 = unbounded). Process keys: rate (all kinds,
-// default 1), amp and period (diurnal, defaults 0.5 and 288), burst-rate
-// and switch (bursty, defaults 5·rate and 0.1).
+// population, default 100, at most maxUsers), mix=g/s/b (class
+// proportions, default 0.2/0.3/0.5, normalized), deadline=g/s/b
+// (per-class time-to-live in slots, default 4/8/16), max-active=K
+// (admission bound on queued requests, default 0 = unbounded). Process
+// keys: rate (all kinds, default 1), amp and period (diurnal, defaults 0.5
+// and 288), burst-rate and switch (bursty, defaults 5·rate and 0.1).
 //
 // The returned Config has Process set and Spec holding the input verbatim;
 // the caller supplies Seed.
@@ -202,7 +211,7 @@ func ParseSpec(spec string) (Config, error) {
 		case "rate":
 			rate, err = parseRate(key, val)
 		case "amp":
-			if amp, err = strconv.ParseFloat(val, 64); err == nil && (amp < 0 || amp > 1) {
+			if amp, err = strconv.ParseFloat(val, 64); err == nil && !(amp >= 0 && amp <= 1) {
 				err = fmt.Errorf("serve: amp=%v outside [0,1]", amp)
 			}
 		case "period":
@@ -213,12 +222,12 @@ func ParseSpec(spec string) (Config, error) {
 			burstRate, err = parseRate(key, val)
 			burstSet = true
 		case "switch":
-			if sw, err = strconv.ParseFloat(val, 64); err == nil && (sw <= 0 || sw > 1) {
+			if sw, err = strconv.ParseFloat(val, 64); err == nil && !(sw > 0 && sw <= 1) {
 				err = fmt.Errorf("serve: switch=%v outside (0,1]", sw)
 			}
 		case "users":
-			if cfg.Users, err = strconv.Atoi(val); err == nil && cfg.Users < 1 {
-				err = fmt.Errorf("serve: users=%d must be positive", cfg.Users)
+			if cfg.Users, err = strconv.Atoi(val); err == nil && (cfg.Users < 1 || cfg.Users > maxUsers) {
+				err = fmt.Errorf("serve: users=%d outside [1,%d]", cfg.Users, maxUsers)
 			}
 		case "max-active":
 			if cfg.MaxActive, err = strconv.Atoi(val); err == nil && cfg.MaxActive < 0 {
@@ -230,7 +239,7 @@ func ParseSpec(spec string) (Config, error) {
 			var dl [NumClasses]float64
 			if dl, err = parseTriple(val, "deadline"); err == nil {
 				for c := range dl {
-					if dl[c] < 1 || dl[c] != math.Trunc(dl[c]) {
+					if dl[c] < 1 || dl[c] > maxDeadline || dl[c] != math.Trunc(dl[c]) {
 						err = fmt.Errorf("serve: deadline %v is not a positive slot count", dl[c])
 						break
 					}
@@ -246,8 +255,8 @@ func ParseSpec(spec string) (Config, error) {
 	}
 
 	sum := cfg.Mix[Gold] + cfg.Mix[Silver] + cfg.Mix[Bronze]
-	if sum <= 0 {
-		return cfg, fmt.Errorf("serve: class mix %v sums to zero", cfg.Mix)
+	if sum <= 0 || math.IsInf(sum, 1) {
+		return cfg, fmt.Errorf("serve: class mix %v does not sum to a positive number", cfg.Mix)
 	}
 	for c := range cfg.Mix {
 		cfg.Mix[c] /= sum
@@ -299,8 +308,8 @@ func parseTriple(val, what string) ([NumClasses]float64, error) {
 		if err != nil {
 			return out, err
 		}
-		if v < 0 || math.IsNaN(v) {
-			return out, fmt.Errorf("serve: %s value %v is negative", what, v)
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return out, fmt.Errorf("serve: %s value %v is not a finite non-negative number", what, v)
 		}
 		out[i] = v
 	}

@@ -9,19 +9,21 @@
 //	res, _ := sched.RunSlot(rand.New(rand.NewSource(1)))
 //	fmt.Println("established:", res.Established)
 //
-// Three schedulers are available: SEE (the paper's contribution), REPS
-// (the INFOCOM'21 entanglement-link baseline) and E2E (all-optical
-// switching only), plus the repo-grown Greedy non-LP baseline. The
-// experiment harness regenerating the paper's figures is exposed via
-// RunExperiment and the Fig* helpers. SchedulerOptions.Faults injects
-// deterministic faults (see ParseFaultSpec) and SchedulerOptions.SlotBudget
-// bounds the LP solve, degrading gracefully to Greedy when exceeded.
+// The paper's three schedulers are available — SEE (the paper's
+// contribution), REPS (the INFOCOM'21 entanglement-link baseline) and E2E
+// (all-optical switching only) — next to the repo-grown baselines Greedy,
+// Contend, QPass, ContendAware and SEEAware and the Oracle capacity bound;
+// Algorithms lists them all. The experiment harness regenerating the
+// paper's figures is exposed via RunExperiment and Figure. One
+// SchedulerOptions struct carries every scheduler knob: Faults injects
+// deterministic faults (see ParseFaultSpec), SlotBudget bounds the LP
+// solve, degrading gracefully to Greedy when exceeded, and CarrySlots keeps
+// unconsumed entanglement across slots.
 package see
 
 import (
 	"errors"
 	"io"
-	"time"
 
 	"see/internal/chaos"
 	"see/internal/engines"
@@ -217,101 +219,15 @@ func MotivationNetwork() (*Network, []SDPair) {
 }
 
 // SchedulerOptions tunes a scheduler; the zero value (or nil pointer)
-// selects paper defaults.
-type SchedulerOptions struct {
-	// KPaths is the Yen candidate-path budget per SD pair (default 5 for
-	// SEE/REPS, 1 for E2E).
-	KPaths int
-	// MaxSegmentHops caps physical hops per entanglement segment for SEE
-	// (default 10).
-	MaxSegmentHops int
-	// MinSegmentProb prunes low-probability candidate segments for SEE
-	// (default 0.05).
-	MinSegmentProb float64
-	// StrictProvisioning switches SEE's ESC to the paper-literal
-	// Algorithm 2 (see core.Options).
-	StrictProvisioning bool
-	// PlainObjective disables the swap-survival weighting of the LP
-	// objective (ablation; see flow.Options.SwapWeightedObjective).
-	PlainObjective bool
-	// Workers bounds the goroutines used by the scheduler's LP pricing
-	// rounds: 0 means GOMAXPROCS, 1 is fully serial. Any worker count
-	// produces a byte-identical scheduler (the parallel pricing is
-	// deterministic), so the knob trades construction latency only.
-	Workers int
-	// Tracer observes the slot pipeline phases (planning, reservation,
-	// physical attempts, stitching); nil disables instrumentation. Attach
-	// a *CountingTracer to collect phase-event counts and latencies.
-	Tracer Tracer
-	// Faults injects deterministic faults (node crashes, link outages,
-	// control-message loss, memory decoherence) into the scheduler's slots;
-	// nil — or a zero plan — leaves the scheduler byte-identical to a run
-	// without the fault layer. Parse a compact spec with ParseFaultSpec.
-	Faults *FaultPlan
-	// SlotBudget bounds the scheduler's LP solve (which runs lazily inside
-	// the first slot). When the solve exceeds the budget or fails, the slot
-	// degrades to the Greedy fallback and the LP is retried on later slots
-	// a bounded number of times; every degradation and retry is reported
-	// through the Tracer as an Incident. Zero means no budget.
-	SlotBudget time.Duration
-	// CarryOver enables the cross-slot entanglement-state bank (see
-	// internal/state and DESIGN.md §6): realized segments no connection
-	// consumed are kept in node memories across the slot boundary — within
-	// each node's memory size m_u — and withdrawn at the next slot, where
-	// they substitute for planned creation attempts. Disabled (the
-	// default), the scheduler is memoryless and byte-identical to pre-bank
-	// behavior. Banked segments decohere stochastically at each boundary
-	// with the Faults plan's decoherence probability (zero without a plan).
-	CarryOver bool
-	// DecoherenceSlots is the bank's age window when CarryOver is on: the
-	// number of slot boundaries a banked segment survives before its
-	// quantum memory decoheres deterministically (default 1 — usable in
-	// the next slot only). Ignored when CarryOver is false.
-	DecoherenceSlots int
-	// Warm, when non-nil, memoizes the expensive construction artifacts —
-	// segment-candidate sets and LP solutions — across schedulers built
-	// over the same Network (see DESIGN.md §9). Share one WarmCache across
-	// NewScheduler calls (traffic-server restarts, REPS rounds, benchmark
-	// rebuilds) to skip redundant solves; every replayed artifact is
-	// byte-identical to a cold build, so results never change. In-place
-	// topology mutation is detected by fingerprint and invalidates the
-	// affected entries. Nil disables warm starts.
-	Warm *WarmCache
-	// FidelityFloor is the per-request minimum delivered end-to-end
-	// fidelity (see DESIGN.md §10): the stitch phase predicts every
-	// candidate connection's fidelity under the Werner model before
-	// sampling its swaps and rolls back any assembly that would miss its
-	// SD pair's floor — the request is never attempted, its segments stay
-	// available, and the rejection is reported via IncidentFloorReject and
-	// SlotResult.FloorRejected. Parse a compact spec with ParseFloorSpec.
-	// Nil (or an all-zero spec) disables enforcement and leaves the
-	// scheduler byte-identical to the pre-floor pipeline.
-	FidelityFloor *FloorSpec
-	// SwapOrder selects the order a connection's junction swaps are
-	// sampled in: SwapOrderPath (the default, source to destination) or
-	// SwapOrderGreedy (least reliable junction first, so doomed
-	// connections fail before burning spare segments). Delivered fidelity
-	// is swap-order-independent; throughput is not.
-	SwapOrder SwapOrder
-	// CarryAwareLP, with CarryOver, re-prices the provisioning LP at the
-	// start of any slot that withdrew banked segments: segment-graph edges
-	// covered by carried inventory price cheaper in the column generation,
-	// so the plan leans into entanglement the network already holds.
-	// Without banked inventory (or without CarryOver) the slot runs the
-	// unmodified LP, byte-identical to the flag being off.
-	CarryAwareLP bool
-	// CarryWernerRetention, with CarryOver, ages banked segments: a
-	// segment withdrawn n slot boundaries after creation has its Werner
-	// parameter scaled by retention^n, degrading the fidelity of
-	// connections built from carried entanglement. 0 (or >= 1) disables
-	// aging. See state.Policy.WernerRetention.
-	CarryWernerRetention float64
-	// CarryMinWernerScale, with CarryOver, stops a withdrawn segment whose
-	// decayed Werner scale fell below the threshold from substituting for
-	// planned creation attempts (the plan re-attempts fresh entanglement
-	// instead). See state.Policy.MinWernerScale.
-	CarryMinWernerScale float64
-}
+// selects paper defaults and a bare, memoryless scheduler. It is the
+// canonical engines.Config, the one struct that declares every scheduler
+// knob — candidate enumeration, LP pricing, tracing, faults (Faults, see
+// ParseFaultSpec), the LP slot budget (SlotBudget, degrading to Greedy),
+// the carry-over bank (CarrySlots and the Carry* aging knobs), warm starts
+// (Warm), fidelity floors (FidelityFloors, see ParseFloorSpec) and the
+// swap order. Chaos takes a pre-built injector for internal callers; set
+// Faults instead.
+type SchedulerOptions = engines.Config
 
 // FloorSpec is a per-request fidelity-floor table: a default floor plus
 // per-SD-pair overrides. It is the canonical qnet.FloorSpec; build one
@@ -360,7 +276,7 @@ type WarmStats = warm.Stats
 type CarryStats = state.Stats
 
 // SchedulerCarryStats returns the carry-over bank tallies of a scheduler
-// built with CarryOver enabled (zero stats otherwise).
+// built with CarrySlots > 0 (zero stats otherwise).
 func SchedulerCarryStats(s Scheduler) CarryStats {
 	if st, ok := s.(sched.Stateful); ok {
 		return st.Bank().Stats()
@@ -428,7 +344,7 @@ const (
 	IncidentRetry        = sched.IncidentRetry
 	IncidentMessageDrop  = sched.IncidentMessageDrop
 	IncidentMessageRetry = sched.IncidentMessageRetry
-	// Carry-over bank events (fire only with CarryOver enabled): segments
+	// Carry-over bank events (fire only with CarrySlots > 0): segments
 	// withdrawn at slot start, deposited at slot end, and lost at a slot
 	// boundary to the age window or stochastic decoherence.
 	IncidentBankWithdraw  = sched.IncidentBankWithdraw
@@ -447,7 +363,7 @@ const (
 	// IncidentFloorReject counts candidate connection assemblies the
 	// stitch phase rolled back because their predicted end-to-end
 	// fidelity missed the request's floor (fires only with
-	// SchedulerOptions.FidelityFloor set).
+	// SchedulerOptions.FidelityFloors set).
 	IncidentFloorReject = sched.IncidentFloorReject
 )
 
@@ -475,17 +391,19 @@ type FaultPlan = chaos.FaultPlan
 // slot ranges.
 func ParseFaultSpec(s string) (*FaultPlan, error) { return chaos.ParseSpec(s) }
 
-// ParseAlgorithm parses a case-insensitive algorithm name ("see", "reps",
-// "e2e", "greedy").
+// ParseAlgorithm parses a case-insensitive algorithm name: "see", "reps",
+// "e2e", "greedy", "contend", "qpass", "contend-aware", "see-aware" or
+// "oracle".
 func ParseAlgorithm(s string) (Algorithm, error) { return sched.ParseAlgorithm(s) }
 
 // Algorithms lists all schemes in display order.
 var Algorithms = sched.Algorithms
 
 // NewScheduler builds a scheduler for the given algorithm. opts may be nil.
-// All three schemes are constructed through the shared internal/engines
-// factory, so a scheduler built here behaves identically to one driven by
-// the experiment harness.
+// Every scheme is assembled by the shared internal/engines factory —
+// validation, fault injector, degradation ladder and carry-over bank — so
+// a scheduler built here behaves identically to one driven by the
+// experiment harness.
 func NewScheduler(alg Algorithm, net *Network, pairs []SDPair, opts *SchedulerOptions) (Scheduler, error) {
 	if net == nil {
 		return nil, errors.New("see: nil network")
@@ -498,56 +416,7 @@ func NewScheduler(alg Algorithm, net *Network, pairs []SDPair, opts *SchedulerOp
 	if opts != nil {
 		o = *opts
 	}
-	cfg := engines.Config{
-		KPaths:             o.KPaths,
-		MaxSegmentHops:     o.MaxSegmentHops,
-		MinSegmentProb:     o.MinSegmentProb,
-		StrictProvisioning: o.StrictProvisioning,
-		PlainObjective:     o.PlainObjective,
-		Workers:            o.Workers,
-		Tracer:             o.Tracer,
-		Warm:               o.Warm,
-		FidelityFloors:     o.FidelityFloor,
-		SwapOrder:          o.SwapOrder,
-		CarryAwareLP:       o.CarryAwareLP,
-	}
-	if o.Faults != nil {
-		inj, err := chaos.NewInjector(o.Faults, net.inner)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Chaos = inj
-	}
-	var s Scheduler
-	var err error
-	if o.SlotBudget > 0 {
-		s, err = engines.NewResilient(alg, net.inner, raw, cfg, o.SlotBudget)
-	} else {
-		s, err = engines.New(alg, net.inner, raw, cfg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if o.CarryOver {
-		// The bank's stochastic boundary hazard reuses the fault plan's
-		// decoherence knob and seed; without a plan the hazard is zero and
-		// only the age window drains the bank.
-		pol := state.Policy{
-			CarrySlots:      o.DecoherenceSlots,
-			WernerRetention: o.CarryWernerRetention,
-			MinWernerScale:  o.CarryMinWernerScale,
-		}
-		if o.Faults != nil {
-			pol.Decoherence = o.Faults.Decoherence
-			pol.Seed = o.Faults.Seed
-		}
-		st, ok := s.(sched.Stateful)
-		if !ok {
-			return nil, errors.New("see: scheduler does not support carry-over")
-		}
-		st.AttachBank(state.NewBank(net.inner, pol))
-	}
-	return s, nil
+	return engines.New(alg, net.inner, raw, o)
 }
 
 // LoadNetwork reads a topology from the edge-list text format of

@@ -28,9 +28,9 @@ func runSlots(t *testing.T, sc Scheduler, seed int64, n int) []SlotResult {
 }
 
 // TestCarryOverDisabledByteIdentical checks the disabled-path contract of
-// DESIGN.md §6: a scheduler with CarryOver false — even with a non-default
-// DecoherenceSlots left in the options — is byte-identical to one built
-// with no options at all, for every algorithm including Greedy.
+// DESIGN.md §6: a scheduler with CarrySlots zero — even with the bank's
+// aging knobs left in the options — is byte-identical to one built with
+// no options at all, for every algorithm including Greedy.
 func TestCarryOverDisabledByteIdentical(t *testing.T) {
 	net, pairs, err := GenerateNetwork(NetworkConfig{Nodes: 40}, 6, 3)
 	if err != nil {
@@ -43,8 +43,9 @@ func TestCarryOverDisabledByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			offSC, err := NewScheduler(alg, net, pairs, &SchedulerOptions{
-				CarryOver:        false,
-				DecoherenceSlots: 7,
+				CarrySlots:           0,
+				CarryWernerRetention: 0.9,
+				CarryMinWernerScale:  0.5,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -52,7 +53,7 @@ func TestCarryOverDisabledByteIdentical(t *testing.T) {
 			plain := runSlots(t, plainSC, 77, 5)
 			off := runSlots(t, offSC, 77, 5)
 			if !reflect.DeepEqual(plain, off) {
-				t.Fatalf("CarryOver=false changed results:\n%+v\nvs\n%+v", plain, off)
+				t.Fatalf("CarrySlots=0 changed results:\n%+v\nvs\n%+v", plain, off)
 			}
 			if (SchedulerCarryStats(offSC) != CarryStats{}) {
 				t.Error("disabled carry-over accumulated bank stats")
@@ -88,9 +89,8 @@ func TestCarryOverImprovesThroughput(t *testing.T) {
 			}
 			tr := NewCountingTracer()
 			carrySC, err := NewScheduler(alg, net, pairs, &SchedulerOptions{
-				CarryOver:        true,
-				DecoherenceSlots: 2,
-				Tracer:           tr,
+				CarrySlots: 2,
+				Tracer:     tr,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -120,7 +120,7 @@ func TestCarryOverImprovesThroughput(t *testing.T) {
 	// The SEE instance above is known to improve strictly; pin that so the
 	// carry path cannot silently become a no-op.
 	plainSC, _ := NewScheduler(SEE, net, pairs, nil)
-	carrySC, _ := NewScheduler(SEE, net, pairs, &SchedulerOptions{CarryOver: true, DecoherenceSlots: 2})
+	carrySC, _ := NewScheduler(SEE, net, pairs, &SchedulerOptions{CarrySlots: 2})
 	if p, c := total(runSlots(t, plainSC, 42, slots)), total(runSlots(t, carrySC, 42, slots)); c <= p {
 		t.Errorf("SEE carry-over did not strictly improve: %d vs %d", c, p)
 	}
@@ -165,9 +165,8 @@ func TestCarryConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc, err := NewScheduler(SEE, net, pairs, &SchedulerOptions{
-		CarryOver:        true,
-		DecoherenceSlots: 3,
-		Faults:           plan,
+		CarrySlots: 3,
+		Faults:     plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,9 +212,8 @@ func TestCarryDeterministic(t *testing.T) {
 		t.Run(alg.String(), func(t *testing.T) {
 			run := func() []SlotResult {
 				sc, err := NewScheduler(alg, net, pairs, &SchedulerOptions{
-					CarryOver:        true,
-					DecoherenceSlots: 2,
-					Faults:           plan,
+					CarrySlots: 2,
+					Faults:     plan,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -239,10 +237,9 @@ func TestCarryResilientBankSurvivesDegradation(t *testing.T) {
 	}
 	tr := NewCountingTracer()
 	sc, err := NewScheduler(SEE, net, pairs, &SchedulerOptions{
-		SlotBudget:       time.Nanosecond,
-		CarryOver:        true,
-		DecoherenceSlots: 2,
-		Tracer:           tr,
+		SlotBudget: time.Nanosecond,
+		CarrySlots: 2,
+		Tracer:     tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -282,8 +279,7 @@ func TestExperimentMultiSlotCarry(t *testing.T) {
 
 	multi := base
 	multi.Slots = 5
-	multi.CarryOver = true
-	multi.DecoherenceSlots = 2
+	multi.CarrySlots = 2
 	serial := multi
 	serial.Workers = 1
 	rm, err := RunExperiment(multi)

@@ -111,7 +111,7 @@ func TestExperimentWithFaultsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := ExperimentParams{Nodes: 30, SDPairs: 4, Trials: 3, Seed: 11, Faults: plan}
+	base := ExperimentParams{Nodes: 30, SDPairs: 4, Trials: 3, Seed: 11, SchedulerOptions: SchedulerOptions{Faults: plan}}
 	r1, err := RunExperiment(base)
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ type WorkloadResult struct {
 	// PerPairDelivered breaks Delivered down by SD pair.
 	PerPairDelivered []int
 	// Carry reports the scheduler's cross-slot bank activity over the run
-	// (zero for schedulers without CarryOver).
+	// (zero for schedulers without CarrySlots).
 	Carry CarryStats
 }
 
