@@ -16,10 +16,12 @@ package see_test
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"see"
 	"see/internal/core"
+	"see/internal/engines"
 	"see/internal/experiment"
 	"see/internal/flow"
 	"see/internal/graph"
@@ -326,6 +328,7 @@ func BenchmarkColumnGenerationParallel(b *testing.B) {
 // BenchmarkYenKShortest measures candidate-path enumeration.
 func BenchmarkYenKShortest(b *testing.B) {
 	net, pairs := ablationNetwork(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
@@ -382,6 +385,32 @@ func BenchmarkSchedulerConstruction(b *testing.B) {
 		if _, err := see.NewScheduler(see.SEE, net, pairs, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkConstruct measures one cold construction of every registered
+// engine on the first instance of seesim's default sweep (seed 1, trial
+// 0: a 200-node Waxman network with 20 SD pairs, default parameters, one
+// pricing worker). Sub-benchmarks follow engines.List(), so a newly
+// registered engine is measured without touching this file.
+func BenchmarkConstruct(b *testing.B) {
+	rng := xrand.ForTrial(1, 0)
+	net, err := topo.Generate(topo.DefaultConfig(), xrand.Split(rng))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := topo.ChooseSDPairs(net, 20, xrand.Split(rng))
+	cfg := experiment.DefaultParams().Config
+	cfg.Workers = 1
+	for _, alg := range engines.List() {
+		b.Run(strings.ToLower(alg.String()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := engines.New(alg, net, pairs, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

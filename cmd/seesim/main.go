@@ -187,7 +187,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	bounds := make(map[see.Algorithm]float64, len(algs))
 	tracers := make(map[see.Algorithm]*see.CountingTracer, len(algs))
 	fids := make(map[see.Algorithm][]float64, len(algs))
+	builds := make(map[see.Algorithm]*buildTimes, len(algs))
 	for _, a := range algs {
+		builds[a] = &buildTimes{}
 		tracers[a] = see.NewCountingTracer()
 	}
 	slotCount := 0
@@ -210,11 +212,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			if len(ts) > 0 {
 				o.Tracer = see.MultiTracer(ts...)
 			}
+			start := time.Now()
 			sc, err := see.NewScheduler(a, net, sdPairs, &o)
 			if err != nil {
 				fmt.Fprintf(stderr, "trial %d (%v): %v\n", trial, a, err)
 				return 1
 			}
+			builds[a].add(time.Since(start))
 			rng := xrand.ForTrial(trialSeed, 1000)
 			for s := 0; s < *slots; s++ {
 				res, err := sc.RunSlot(rng)
@@ -242,10 +246,32 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		slots: *slots, slotCount: slotCount, topoName: *topoName,
 		traffic: *traffic, trace: *trace, countInjected: countInjected,
 		faults: *faults, budget: *budget, carry: *carry, decohere: *decohere,
-		totals: totals, bounds: bounds, tracers: tracers,
+		totals: totals, bounds: bounds, tracers: tracers, builds: builds,
 		floorSpec: *floorSpec, swapOrder: order, fids: fids,
 	})
 	return 0
+}
+
+// buildTimes accumulates one engine's scheduler construction wall times
+// across trials. Construction happens before the first slot, outside every
+// tracer phase, so -trace reports it on a line of its own.
+type buildTimes struct {
+	n          int
+	total, max time.Duration
+}
+
+func (b *buildTimes) add(d time.Duration) {
+	b.n++
+	b.total += d
+	b.max = max(b.max, d)
+}
+
+func (b *buildTimes) String() string {
+	mean := 0.0
+	if b.n > 0 {
+		mean = b.total.Seconds() * 1e3 / float64(b.n)
+	}
+	return fmt.Sprintf("construct n=%d mean=%.3gms max=%.3gms", b.n, mean, b.max.Seconds()*1e3)
 }
 
 // reportParams carries the run configuration and results into report.
@@ -261,6 +287,7 @@ type reportParams struct {
 	decohere                       int
 	totals, bounds                 map[see.Algorithm]float64
 	tracers                        map[see.Algorithm]*see.CountingTracer
+	builds                         map[see.Algorithm]*buildTimes
 	// floorSpec is the raw -fidelity-floor flag; non-empty enables the
 	// fidelity section (even for an all-zero spec, which reports delivered
 	// fidelity without enforcing anything).
@@ -317,7 +344,7 @@ func report(w io.Writer, p reportParams) {
 	}
 	if p.trace {
 		for _, a := range p.algs {
-			fmt.Fprintf(w, "\n# %v pipeline\n%s\n", a, p.tracers[a])
+			fmt.Fprintf(w, "\n# %v pipeline\n%s\n%s\n", a, p.tracers[a], p.builds[a])
 		}
 	}
 	if p.countInjected {

@@ -165,18 +165,22 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, e
 // with).
 func (e *Engine) candidatePaths() [][]graph.Path {
 	nodeWeight := sched.SwapNodeWeight(e.Net)
-	edgeWeight := func(id int, _ float64) float64 {
+	// The metric is static, so each segment edge's weight is tabled once
+	// rather than recomputed on every relaxation of every spur search.
+	weights := make([]float64, len(e.Set.EdgePairs))
+	for id, pk := range e.Set.EdgePairs {
 		best := math.Inf(1)
-		for _, c := range e.Set.ByPair[e.Set.EdgePairs[id]] {
+		for _, c := range e.Set.ByPair[pk] {
 			if cost := c.AttemptCost(e.Net); cost < best {
 				best = cost
 			}
 		}
 		if math.IsInf(best, 1) {
-			return sched.InfeasibleWeight
+			best = sched.InfeasibleWeight
 		}
-		return best
+		weights[id] = best
 	}
+	edgeWeight := func(id int, _ float64) float64 { return weights[id] }
 	out := make([][]graph.Path, len(e.Pairs))
 	for i, sd := range e.Pairs {
 		out[i] = graph.YenKShortest(e.Set.SegGraph, sd.S, sd.D, e.opts.PathsPerPair, graph.DijkstraOptions{
@@ -247,17 +251,16 @@ func widthFor(r *residual, c *segment.Candidate, pk segment.PairKey, want int) i
 // where n_h = min(⌈1/p⌉, residual width) is the attempt budget hop h would
 // get, with each hop priced on its cheapest still-feasible realization. It
 // returns the score and the concrete hop plan (nil when any hop has no
-// feasible realization).
-func (e *Engine) scorePath(r *residual, nodes graph.Path) (float64, []sched.FixedHop) {
+// feasible realization). scratch is the caller's reusable buffer for the
+// simulated residual state.
+func (e *Engine) scorePath(r, scratch *residual, nodes graph.Path) (float64, []sched.FixedHop) {
 	score := 1.0
 	hops := make([]sched.FixedHop, 0, len(nodes)-1)
 	// Hop reservations within one path compound, so simulate them on a
 	// scratch copy of the residual state (paths share endpoints with
 	// themselves when they revisit a node's memory).
-	scratch := &residual{
-		channels: append([]int(nil), r.channels...),
-		memory:   append([]int(nil), r.memory...),
-	}
+	scratch.channels = append(scratch.channels[:0], r.channels...)
+	scratch.memory = append(scratch.memory[:0], r.memory...)
 	for i := 0; i+1 < len(nodes); i++ {
 		pk := segment.MakePairKey(nodes[i], nodes[i+1])
 		cand, cost := e.cheapestFeasible(scratch, pk, nil)
@@ -298,6 +301,7 @@ func (e *Engine) buildPlan() {
 	r := e.startingResidual()
 	cands := e.candidatePaths()
 	planned := make([]int, len(e.Pairs))
+	var scratch residual
 	for {
 		bestScore := 0.0
 		bestPair, bestIdx := -1, -1
@@ -307,7 +311,7 @@ func (e *Engine) buildPlan() {
 				continue
 			}
 			for j, nodes := range cands[i] {
-				score, hops := e.scorePath(r, nodes)
+				score, hops := e.scorePath(r, &scratch, nodes)
 				if score > bestScore {
 					bestScore, bestPair, bestIdx, bestHops = score, i, j, hops
 				}
@@ -393,9 +397,10 @@ func (e *Engine) buildPlanOffline() {
 		score float64
 	}
 	scored := make([][]offlinePath, len(e.Pairs))
+	var scratch residual
 	for i := range e.Pairs {
 		for _, nodes := range cands[i] {
-			score, hops := e.scorePath(full, nodes)
+			score, hops := e.scorePath(full, &scratch, nodes)
 			if score <= 0 {
 				continue
 			}

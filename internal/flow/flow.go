@@ -596,21 +596,22 @@ func (m *model) priceColumns(ctx context.Context, duals []float64, eps float64, 
 // pricePath finds commodity i's best path under the current edge prices.
 // dualI = −Inf forces seeding (any finite-cost path qualifies).
 func (m *model) pricePath(w, i int, dualI, eps float64) pricedPath {
+	if m.price[w] == nil {
+		m.price[w] = &priceScratch{}
+	}
+	ps := m.price[w]
 	if m.opts.SwapWeightedObjective {
-		if m.price[w] == nil {
-			m.price[w] = &priceScratch{}
-		}
-		nodes, edgeIDs, weight := m.layeredPrice(m.price[w], i, dualI, eps)
+		nodes, edgeIDs, weight := m.layeredPrice(ps, i, dualI, eps)
 		return pricedPath{nodes: nodes, edgeIDs: edgeIDs, weight: weight, ok: nodes != nil}
 	}
 	sd := m.set.Pairs[i]
-	res := graph.Dijkstra(m.set.SegGraph, sd.S, graph.DijkstraOptions{
+	nodes, dist := graph.ShortestPathTarget(m.set.SegGraph, sd.S, sd.D, graph.DijkstraOptions{
 		EdgeWeight: func(id int, _ float64) float64 { return m.bestCost[id] },
-	})
-	if res.Dist[sd.D] == graph.Unreachable || 1-dualI-res.Dist[sd.D] <= eps {
+	}, &ps.sp)
+	if nodes == nil || 1-dualI-dist <= eps {
 		return pricedPath{}
 	}
-	return pricedPath{nodes: res.PathTo(sd.D), edgeIDs: res.EdgesTo(sd.D), weight: 1, ok: true}
+	return pricedPath{nodes: nodes, edgeIDs: ps.sp.EdgesOf(nodes), weight: 1, ok: true}
 }
 
 // insertColumn adds commodity i's priced path to the master unless it is a

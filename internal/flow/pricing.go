@@ -6,17 +6,31 @@ import (
 	"see/internal/graph"
 )
 
-// priceScratch holds the reusable buffers of one worker's layered pricing
-// DP. Each parallel pricing worker owns exactly one (see model.price), so
-// the DP never shares state across goroutines; its zero value is ready and
-// grows on first use.
+// priceScratch holds the reusable buffers of one worker's pricing oracle:
+// the layered DP's tables and frontiers, and the targeted Dijkstra of the
+// unweighted objective. Each parallel pricing worker owns exactly one (see
+// model.price), so pricing never shares state across goroutines; its zero
+// value is ready and grows on first use.
 type priceScratch struct {
-	dist       []float64
-	logq       []float64
-	prevNode   []int32
-	prevEdge   []int32
+	dist     []float64
+	logq     []float64
+	prevNode []int32
+	prevEdge []int32
+	// frontier and next are the DP's double-buffered layer frontiers;
+	// inFrontier marks the nodes of next and is all false between calls.
 	frontier   []int
+	next       []int
 	inFrontier []bool
+	cands      []layerCand
+	sp         graph.DijkstraScratch
+}
+
+// layerCand is one hop count whose min-cost path to the destination
+// qualifies, with its reduced cost and swap-survival weight.
+type layerCand struct {
+	h  int
+	rc float64
+	w  float64
 }
 
 func (ps *priceScratch) resize(layers, n int) {
@@ -29,7 +43,6 @@ func (ps *priceScratch) resize(layers, n int) {
 	if len(ps.inFrontier) != n {
 		ps.inFrontier = make([]bool, n)
 	}
-	ps.frontier = ps.frontier[:0]
 }
 
 // layeredPrice is the pricing oracle for the swap-weighted objective: it
@@ -69,14 +82,18 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 	idx := func(h, v int) int { return h*n + v }
 	dist[idx(0, sd.S)] = 0
 
-	// frontier of nodes reachable at the previous layer.
-	frontier := append(ps.frontier, sd.S)
+	// frontier holds the nodes reachable at the previous layer, next
+	// collects this layer's; the two buffers swap roles every layer.
+	// inFrontier marks exactly the nodes of next, so clearing the marks of
+	// the frontier that next is about to replace resets it.
+	frontier := append(ps.frontier[:0], sd.S)
+	next := ps.next[:0]
 	inFrontier := ps.inFrontier
 	for h := 1; h <= maxHops && len(frontier) > 0; h++ {
-		next := frontier[:0:0]
-		for i2 := range inFrontier {
-			inFrontier[i2] = false
+		for _, u := range frontier {
+			inFrontier[u] = false
 		}
+		next = next[:0]
 		for _, u := range frontier {
 			du := dist[idx(h-1, u)]
 			base := du
@@ -106,8 +123,12 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 				}
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
+	for _, u := range frontier {
+		inFrontier[u] = false
+	}
+	ps.frontier, ps.next = frontier, next
 
 	// Rank layers by reduced cost; seeding (dualI = −Inf) accepts the best
 	// finite layer unconditionally.
@@ -117,12 +138,7 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 		effDual = 0
 		minRC = math.Inf(-1)
 	}
-	type cand struct {
-		h  int
-		rc float64
-		w  float64
-	}
-	var cands []cand
+	cands := ps.cands[:0]
 	for h := 1; h <= maxHops; h++ {
 		st := idx(h, sd.D)
 		if math.IsInf(dist[st], 1) {
@@ -130,9 +146,10 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 		}
 		w := math.Exp(-logq[st])
 		if rc := w - effDual - dist[st]; rc > minRC {
-			cands = append(cands, cand{h: h, rc: rc, w: w})
+			cands = append(cands, layerCand{h: h, rc: rc, w: w})
 		}
 	}
+	ps.cands = cands
 	// Try candidates from best reduced cost down, skipping loopy walks.
 	for len(cands) > 0 {
 		best := 0

@@ -1,7 +1,5 @@
 package graph
 
-import "container/heap"
-
 // DijkstraScratch holds the reusable per-call buffers of a targeted
 // shortest-path query. Engines run thousands of small queries per slot
 // (the ECE stitch loop, REPS's pool selection); keeping one scratch per
@@ -31,27 +29,40 @@ func (sc *DijkstraScratch) reset(n int) {
 	sc.pq = sc.pq[:0]
 }
 
-// ShortestPathTarget is ShortestPath with two observationally transparent
-// optimizations: the search stops as soon as the target is settled (its
-// distance and predecessor chain are final at pop time under non-negative
-// weights, and the chain's nodes are all settled, so the reconstructed
-// path is identical to the full run's), and all working storage comes from
-// sc (nil allocates fresh buffers). Returns (nil, Unreachable) when no
-// path exists.
-func ShortestPathTarget(g *Graph, s, t int, opts DijkstraOptions, sc *DijkstraScratch) (Path, float64) {
-	if sc == nil {
-		sc = &DijkstraScratch{}
+// spurBan is the extra restriction of one Yen spur search: nodes whose
+// mark equals gen (the root path before the spur node) are forbidden, and
+// arcs from the source to any node in next are skipped. Every arc Yen
+// bans leaves the spur node, so only the source's out-arcs are checked.
+type spurBan struct {
+	mark []uint32
+	gen  uint32
+	next []int
+}
+
+func (b *spurBan) bansArc(to int) bool {
+	for _, v := range b.next {
+		if v == to {
+			return true
+		}
 	}
+	return false
+}
+
+// search runs Dijkstra from s, leaving distances and predecessors in sc.
+// It stops once t is settled; t < 0 settles every reachable node. ban,
+// when non-nil, adds a Yen spur restriction. A targeted search pops and
+// relaxes exactly as the full one does until t is settled, and t's
+// predecessor chain is final by then, so both yield the same path to t.
+func (sc *DijkstraScratch) search(g *Graph, s, t int, opts DijkstraOptions, ban *spurBan) {
 	n := g.N()
 	sc.reset(n)
-	if s < 0 || s >= n || t < 0 || t >= n {
-		return nil, Unreachable
+	if s < 0 || s >= n {
+		return
 	}
 	sc.dist[s] = 0
-	sc.pq = append(sc.pq, pqItem{node: s, dist: 0})
-	pq := &sc.pq
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
+	sc.pq.push(pqItem{node: s, dist: 0})
+	for len(sc.pq) > 0 {
+		it := sc.pq.pop()
 		u := it.node
 		if sc.done[u] {
 			continue
@@ -66,6 +77,9 @@ func ShortestPathTarget(g *Graph, s, t int, opts DijkstraOptions, sc *DijkstraSc
 		}
 		for _, e := range g.Neighbors(u) {
 			if sc.done[e.To] {
+				continue
+			}
+			if ban != nil && (ban.mark[e.To] == ban.gen || (u == s && ban.bansArc(e.To))) {
 				continue
 			}
 			if opts.Forbidden != nil && opts.Forbidden(e.To) {
@@ -83,22 +97,65 @@ func ShortestPathTarget(g *Graph, s, t int, opts DijkstraOptions, sc *DijkstraSc
 				sc.dist[e.To] = nd
 				sc.prev[e.To] = u
 				sc.prevEdge[e.To] = e.ID
-				heap.Push(pq, pqItem{node: e.To, dist: nd})
+				sc.pq.push(pqItem{node: e.To, dist: nd})
 			}
 		}
 	}
-	if sc.dist[t] == Unreachable {
-		return nil, Unreachable
-	}
-	// Reconstruct s→t. Every node on the chain is settled, so the path is
-	// exactly what the full Dijkstra would return.
+}
+
+// reached reports whether the latest search reached t, a valid node.
+func (sc *DijkstraScratch) reached(t int) bool { return sc.dist[t] != Unreachable }
+
+// pathTo returns prefix followed by the settled s→t chain after s (s
+// itself is prefix's last node, or the path's first node when prefix is
+// empty), in one allocation.
+func (sc *DijkstraScratch) pathTo(s, t int, prefix Path) Path {
 	length := 1
 	for v := t; v != s; v = sc.prev[v] {
 		length++
 	}
-	path := make(Path, length)
-	for i, v := length-1, t; i >= 0; i, v = i-1, sc.prev[v] {
+	if len(prefix) > 0 {
+		length--
+	}
+	path := make(Path, len(prefix)+length)
+	copy(path, prefix)
+	for i, v := len(path)-1, t; i >= len(prefix); i, v = i-1, sc.prev[v] {
 		path[i] = v
 	}
-	return path, sc.dist[t]
+	return path
+}
+
+// ShortestPathTarget is ShortestPath with all working storage taken from
+// sc (nil allocates fresh buffers). The search stops as soon as the target
+// is settled: its distance and predecessor chain are final at pop time
+// under non-negative weights, and the chain's nodes are all settled, so
+// the reconstructed path is identical to the full Dijkstra run's. Returns
+// (nil, Unreachable) when no path exists.
+func ShortestPathTarget(g *Graph, s, t int, opts DijkstraOptions, sc *DijkstraScratch) (Path, float64) {
+	if sc == nil {
+		sc = &DijkstraScratch{}
+	}
+	if t < 0 || t >= g.N() {
+		return nil, Unreachable
+	}
+	sc.search(g, s, t, opts, nil)
+	if !sc.reached(t) {
+		return nil, Unreachable
+	}
+	return sc.pathTo(s, t, nil), sc.dist[t]
+}
+
+// EdgesOf returns the edge IDs along p, a path the latest
+// ShortestPathTarget call on sc returned: the same IDs
+// ShortestResult.EdgesTo reports for the full run. It returns nil for a
+// path of fewer than two nodes.
+func (sc *DijkstraScratch) EdgesOf(p Path) []int {
+	if len(p) < 2 {
+		return nil
+	}
+	ids := make([]int, len(p)-1)
+	for i := 1; i < len(p); i++ {
+		ids[i-1] = sc.prevEdge[p[i]]
+	}
+	return ids
 }

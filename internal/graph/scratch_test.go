@@ -7,8 +7,10 @@ import (
 )
 
 // TestShortestPathTargetMatchesFull: the early-stop targeted query must
-// return exactly the full Dijkstra's path and distance, on random graphs,
-// with and without node weights, reusing one scratch across queries.
+// return exactly the full Dijkstra's path, distance and edges, on random
+// graphs, with and without node weights, reusing one scratch across
+// queries; and the full Dijkstra must equal the container/heap reference
+// in every distance and predecessor, ties included.
 func TestShortestPathTargetMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	sc := &DijkstraScratch{}
@@ -20,7 +22,13 @@ func TestShortestPathTargetMatchesFull(t *testing.T) {
 			if u == v {
 				continue
 			}
-			g.AddEdge(u, v, 0.1+rng.Float64())
+			w := 0.1 + rng.Float64()
+			if trial%3 == 2 {
+				// Small integer weights: many equal-distance ties, which
+				// must pop in container/heap's order.
+				w = float64(1 + rng.Intn(2))
+			}
+			g.AddEdge(u, v, w)
 		}
 		var opts DijkstraOptions
 		if trial%2 == 1 {
@@ -28,11 +36,18 @@ func TestShortestPathTargetMatchesFull(t *testing.T) {
 		}
 		for q := 0; q < 10; q++ {
 			s, d := rng.Intn(n), rng.Intn(n)
-			wantPath, wantDist := ShortestPath(g, s, d, opts)
+			full := Dijkstra(g, s, opts)
+			if ref := referenceDijkstra(g, s, opts); !reflect.DeepEqual(full, ref) {
+				t.Fatalf("trial %d source %d: Dijkstra differs from the container/heap reference", trial, s)
+			}
+			wantPath, wantDist := full.PathTo(d), full.Dist[d]
 			gotPath, gotDist := ShortestPathTarget(g, s, d, opts, sc)
 			if gotDist != wantDist || !reflect.DeepEqual(gotPath, wantPath) {
 				t.Fatalf("trial %d query %d→%d: target-stop (%v, %v) != full (%v, %v)",
 					trial, s, d, gotPath, gotDist, wantPath, wantDist)
+			}
+			if got, want := sc.EdgesOf(gotPath), full.EdgesTo(d); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d query %d→%d: EdgesOf %v != EdgesTo %v", trial, s, d, got, want)
 			}
 		}
 	}

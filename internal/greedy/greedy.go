@@ -156,16 +156,17 @@ func (e *Engine) buildPlan() {
 	}
 
 	planned := make([]int, len(e.Pairs))
+	var sc graph.DijkstraScratch
 	for {
 		progress := false
 		for i, sd := range e.Pairs {
 			if planned[i] >= e.ConnCap[i] {
 				continue
 			}
-			path, dist := graph.ShortestPath(e.Set.SegGraph, sd.S, sd.D, graph.DijkstraOptions{
+			path, dist := graph.ShortestPathTarget(e.Set.SegGraph, sd.S, sd.D, graph.DijkstraOptions{
 				NodeWeight: nodeWeight,
 				EdgeWeight: edgeWeight,
-			})
+			}, &sc)
 			if path == nil || dist >= sched.RejectThreshold {
 				continue
 			}

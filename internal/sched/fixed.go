@@ -19,15 +19,18 @@ const (
 
 // SwapNodeWeight returns the fixed-path planners' node weight −ln q_u
 // (junctions must survive their swap), InfeasibleWeight for a node that
-// cannot swap.
+// cannot swap. The weights are tabled from net.SwapProb when called, so a
+// search pays no logarithm per settled node.
 func SwapNodeWeight(net *topo.Network) func(int) float64 {
-	return func(u int) float64 {
-		q := net.SwapProb[u]
+	w := make([]float64, len(net.SwapProb))
+	for u, q := range net.SwapProb {
 		if q <= 0 {
-			return InfeasibleWeight
+			w[u] = InfeasibleWeight
+		} else {
+			w[u] = -math.Log(q)
 		}
-		return -math.Log(q)
 	}
+	return func(u int) float64 { return w[u] }
 }
 
 // FixedHop is one planned segment of a fixed path: the endpoint pair, the
