@@ -51,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadEdgeList -fuzztime=$(FUZZTIME) -run='^$$' ./internal/topo
 	$(GO) test -fuzz=FuzzParseFloorSpec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/qnet
 	$(GO) test -fuzz=FuzzDecodeEngineState -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ckpt
+	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ckpt
 	$(GO) test -fuzz=FuzzParseArrivalSpec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
 
 # docs-check keeps the documentation honest: gofmt-clean tree, a package

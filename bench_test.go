@@ -388,18 +388,73 @@ func BenchmarkSchedulerConstruction(b *testing.B) {
 	}
 }
 
+// sweepInstance draws trial k of seesim's default sweep (seed 1): a
+// 200-node Waxman network with 20 SD pairs, as perfbench's sweep-cold
+// workload and BenchmarkConstruct use.
+func sweepInstance(b *testing.B, k int) (*topo.Network, []topo.SDPair) {
+	b.Helper()
+	rng := xrand.ForTrial(1, k)
+	net, err := topo.Generate(topo.DefaultConfig(), xrand.Split(rng))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return net, topo.ChooseSDPairs(net, 20, xrand.Split(rng))
+}
+
+// BenchmarkSegmentBuild measures candidate enumeration (Yen plus
+// sub-segment expansion) with SEE's default options on the first sweep
+// instance.
+func BenchmarkSegmentBuild(b *testing.B) {
+	net, pairs := sweepInstance(b, 0)
+	opts := core.DefaultOptions().Segment
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := segment.Build(net, pairs, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFlowSolve measures column generation alone: one op solves the
+// LP relaxation of the first three sweep instances with one pricing
+// worker, under the swap-weighted objective SEE plans with and under the
+// unweighted one of formulation (1). The segment sets are built once,
+// outside the timer.
+func BenchmarkFlowSolve(b *testing.B) {
+	var sets []*segment.Set
+	for k := 0; k < 3; k++ {
+		net, pairs := sweepInstance(b, k)
+		set, err := segment.Build(net, pairs, core.DefaultOptions().Segment)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sets = append(sets, set)
+	}
+	for _, obj := range []struct {
+		name     string
+		weighted bool
+	}{{"swap-weighted", true}, {"unweighted", false}} {
+		b.Run(obj.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, set := range sets {
+					if _, err := flow.Solve(set, flow.Options{SwapWeightedObjective: obj.weighted, Workers: 1}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkConstruct measures one cold construction of every registered
 // engine on the first instance of seesim's default sweep (seed 1, trial
 // 0: a 200-node Waxman network with 20 SD pairs, default parameters, one
 // pricing worker). Sub-benchmarks follow engines.List(), so a newly
 // registered engine is measured without touching this file.
 func BenchmarkConstruct(b *testing.B) {
-	rng := xrand.ForTrial(1, 0)
-	net, err := topo.Generate(topo.DefaultConfig(), xrand.Split(rng))
-	if err != nil {
-		b.Fatal(err)
-	}
-	pairs := topo.ChooseSDPairs(net, 20, xrand.Split(rng))
+	net, pairs := sweepInstance(b, 0)
 	cfg := experiment.DefaultParams().Config
 	cfg.Workers = 1
 	for _, alg := range engines.List() {

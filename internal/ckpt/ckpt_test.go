@@ -196,6 +196,39 @@ func TestWriteRejectsDuplicateSections(t *testing.T) {
 	}
 }
 
+// rawContainer frames sections as encode does, with a valid checksum,
+// but without encode's name checks, so tests can build containers that
+// encode refuses to write.
+func rawContainer(sections ...Section) []byte {
+	e := &Encoder{}
+	e.buf = append(e.buf, Magic...)
+	e.Uvarint(Version)
+	e.Uvarint(uint64(len(sections)))
+	for _, sec := range sections {
+		e.String(sec.Name)
+		e.Blob(sec.Data)
+	}
+	return binary.LittleEndian.AppendUint32(e.Bytes(), crc32.ChecksumIEEE(e.Bytes()))
+}
+
+// TestDecodeRejectsBadSectionNames is the read-side twin of
+// TestWriteRejectsDuplicateSections: a container with a valid checksum
+// but an empty or repeated section name is corrupt, not a snapshot whose
+// Section lookup silently returns the first copy.
+func TestDecodeRejectsBadSectionNames(t *testing.T) {
+	for name, raw := range map[string][]byte{
+		"duplicate":  rawContainer(Section{"a", []byte{1}}, Section{"b", nil}, Section{"a", []byte{2}}),
+		"empty name": rawContainer(Section{"a", nil}, Section{"", []byte{1}}),
+	} {
+		if _, err := Decode(raw); err == nil || !IsCorrupt(err) {
+			t.Errorf("%s: Decode error %v, want a corrupt-checkpoint error", name, err)
+		}
+	}
+	if _, err := Decode(rawContainer(Section{"a", nil}, Section{"b", []byte{1}})); err != nil {
+		t.Fatalf("well-formed container rejected: %v", err)
+	}
+}
+
 // TestEngineStateRoundTrip round-trips a fully loaded engine-state tree —
 // chaos, bank, ladder and a nested inner state.
 func TestEngineStateRoundTrip(t *testing.T) {

@@ -89,9 +89,9 @@ func (s *Snapshot) encode() ([]byte, error) {
 }
 
 // Decode parses a container produced by encode, validating magic, version,
-// framing and checksum. Every validation failure wraps errCorrupt (see
-// IsCorrupt) so callers can distinguish a damaged checkpoint from plain
-// I/O trouble.
+// framing, checksum and section names (non-empty and unique, as encode
+// writes them). Every validation failure wraps errCorrupt (see IsCorrupt)
+// so callers can distinguish a damaged checkpoint from plain I/O trouble.
 func Decode(raw []byte) (*Snapshot, error) {
 	if len(raw) < len(Magic)+4 || string(raw[:len(Magic)]) != Magic {
 		return nil, fmt.Errorf("%w: bad magic", errCorrupt)
@@ -106,12 +106,22 @@ func Decode(raw []byte) (*Snapshot, error) {
 	}
 	n := d.Uvarint()
 	s := &Snapshot{}
+	seen := make(map[string]bool)
 	for i := uint64(0); i < n; i++ {
 		name := d.String()
 		data := d.Blob()
 		if d.Err() != nil {
 			break
 		}
+		// Section returns the first of two same-named sections, so a
+		// duplicate would hide a payload; encode refuses to write either.
+		if name == "" {
+			return nil, fmt.Errorf("%w: section with empty name", errCorrupt)
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("%w: duplicate section %q", errCorrupt, name)
+		}
+		seen[name] = true
 		s.Add(name, data)
 	}
 	if err := d.Finish(); err != nil {

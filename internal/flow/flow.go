@@ -223,6 +223,10 @@ type model struct {
 	// (+Inf at q ≤ 0); the log was previously recomputed per frontier
 	// node per layer per commodity per round.
 	negLogQ []float64
+	// layerW[h] bounds the swap survival of any walk leaving layer h−1 of
+	// the layered DP (buildLayerBounds); it prunes states that cannot
+	// become a column.
+	layerW []float64
 
 	// Per segment edge, recomputed each round: the cheapest realization
 	// under current duals, its cost, its attempt factor and its index in
@@ -234,6 +238,8 @@ type model struct {
 
 	colKeys colKeySet
 	columns []column
+	// entryBuf is columnEntries' reusable output.
+	entryBuf []lp.Entry
 
 	// Per-worker scratch of the layered pricing DP (index = worker id from
 	// par.ForWorker, so no two goroutines share a buffer).
@@ -393,6 +399,9 @@ func (m *model) buildCandidateTables() {
 	m.bestCand = make([]*segment.Candidate, n)
 	m.bestCandIdx = make([]int32, n)
 	m.bestFactor = make([]float64, n)
+	if m.opts.SwapWeightedObjective {
+		m.buildLayerBounds()
+	}
 	if a := m.opts.Arena; a != nil && a.tablesValid(m.set, m.opts) {
 		// The tables are pure functions of (set, DropDeadLinks overrides):
 		// replaying them is bit-identical to rebuilding.
@@ -649,26 +658,24 @@ func (m *model) insertColumn(i int, pp *pricedPath) bool {
 
 // columnEntries builds the sparse resource footprint of a path column from
 // the cached per-candidate rows and factors of the round's best
-// realizations.
+// realizations: the commodity row, then per hop the candidate's link rows
+// and its two endpoint memory rows. Rows shared by several hops repeat;
+// AddColumn sums them in this order and copies the result, so the slice
+// is the model's scratch, valid until the next call.
 func (m *model) columnEntries(i int, edgeIDs []int) []lp.Entry {
-	acc := make(map[int]float64, 2+3*len(edgeIDs))
-	acc[i] = 1
+	entries := append(m.entryBuf[:0], lp.Entry{Index: i, Value: 1})
 	for _, id := range edgeIDs {
 		f := m.bestFactor[id]
 		if math.IsInf(f, 1) {
 			return nil
 		}
 		for _, r := range m.candLinkRows[id][m.bestCandIdx[id]] {
-			acc[int(r)] += f
+			entries = append(entries, lp.Entry{Index: int(r), Value: f})
 		}
 		mr := m.pairMemRows[id]
-		acc[int(mr[0])] += f
-		acc[int(mr[1])] += f
+		entries = append(entries, lp.Entry{Index: int(mr[0]), Value: f}, lp.Entry{Index: int(mr[1]), Value: f})
 	}
-	entries := make([]lp.Entry, 0, len(acc))
-	for row, v := range acc {
-		entries = append(entries, lp.Entry{Index: row, Value: v})
-	}
+	m.entryBuf = entries
 	return entries
 }
 

@@ -22,6 +22,7 @@ type priceScratch struct {
 	next       []int
 	inFrontier []bool
 	cands      []layerCand
+	dest       destSearch
 	sp         graph.DijkstraScratch
 }
 
@@ -42,6 +43,36 @@ func (ps *priceScratch) resize(layers, n int) {
 	}
 	if len(ps.inFrontier) != n {
 		ps.inFrontier = make([]bool, n)
+		ps.dest.lb = make([]float64, n)
+		ps.dest.settled = make([]bool, n)
+	}
+}
+
+// pruneSlack is the relative margin δ of the layered DP's pruning test.
+// Sums of the same costs in another order differ by a few ulps; 1e-12
+// lies far above that, so rounding never prunes a state that could still
+// become a column.
+const pruneSlack = 1e-12
+
+// buildLayerBounds fills layerW: layerW[h] bounds the swap survival of any
+// walk that leaves layer h−1, whatever its path. A walk ending at layer
+// h' ≥ h has h'−1 junctions, each surviving with at most q_max, so the
+// bound is the largest q_max^(h'−1) over h' ≥ h: q_max^(h−1) when
+// q_max ≤ 1, and 1 at the source.
+func (m *model) buildLayerBounds() {
+	qMax := 0.0
+	for _, q := range m.set.Net.SwapProb {
+		qMax = max(qMax, q)
+	}
+	maxHops := m.opts.MaxJunctions + 1
+	m.layerW = make([]float64, maxHops+1)
+	w := 1.0
+	for h := 1; h <= maxHops; h++ {
+		m.layerW[h] = w
+		w *= qMax
+	}
+	for h := maxHops - 1; h >= 1; h-- {
+		m.layerW[h] = max(m.layerW[h], m.layerW[h+1])
 	}
 }
 
@@ -63,6 +94,17 @@ func (ps *priceScratch) resize(layers, n int) {
 // reconstructions are skipped and a dominating simple path at another
 // layer wins instead.
 //
+// Outside the seeding round the DP does not relax out of a state
+// (h−1, u) that cannot lead to a column: every walk through it costs at
+// least dist + LB[u], LB being u's min-cost distance to d (destSearch), and
+// survives at most layerW[h], so it is skipped when
+//
+//	layerW[h]·(1+δ) − dualI − (dist + LB[u])·(1−δ) ≤ eps.
+//
+// A state on a walk that can still become a column is never skipped, and
+// neither is any state before it on that walk, so it keeps its value;
+// DESIGN.md §9 gives the argument.
+//
 // It returns (nil, nil, 0) when no path qualifies.
 func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph.Path, []int, float64) {
 	sd := m.set.Pairs[i]
@@ -82,6 +124,11 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 	idx := func(h, v int) int { return h*n + v }
 	dist[idx(0, sd.S)] = 0
 
+	seeding := math.IsInf(dualI, -1)
+	if !seeding {
+		ps.dest.reset(g, m.bestCost, sd.D)
+	}
+
 	// frontier holds the nodes reachable at the previous layer, next
 	// collects this layer's; the two buffers swap roles every layer.
 	// inFrontier marks exactly the nodes of next, so clearing the marks of
@@ -94,9 +141,11 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 			inFrontier[u] = false
 		}
 		next = next[:0]
+		limit := math.Inf(1)
+		if !seeding {
+			limit = m.pruneLimit(h, dualI, eps)
+		}
 		for _, u := range frontier {
-			du := dist[idx(h-1, u)]
-			base := du
 			var addLogq float64
 			if u != sd.S {
 				addLogq = m.negLogQ[u]
@@ -104,14 +153,15 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 					continue
 				}
 			}
+			du := dist[idx(h-1, u)]
+			if !seeding && ps.dest.beyond(u, du, limit) {
+				continue
+			}
 			lq := logq[idx(h-1, u)] + addLogq
 			for _, e := range g.Neighbors(u) {
-				w := m.bestCost[e.ID]
-				if math.IsInf(w, 1) {
-					continue
-				}
+				// A dead edge costs +Inf, so nd < dist[to] fails.
 				to := idx(h, e.To)
-				if nd := base + w; nd < dist[to] {
+				if nd := du + m.bestCost[e.ID]; nd < dist[to] {
 					dist[to] = nd
 					logq[to] = lq
 					prevNode[to] = int32(u)
@@ -134,7 +184,7 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 	// finite layer unconditionally.
 	effDual := dualI
 	minRC := eps
-	if math.IsInf(dualI, -1) {
+	if seeding {
 		effDual = 0
 		minRC = math.Inf(-1)
 	}
@@ -166,6 +216,69 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 		cands = cands[:len(cands)-1]
 	}
 	return nil, nil, 0
+}
+
+// pruneLimit is the cost from which a state leaving layer h−1 cannot
+// lead to a column for a commodity of dual dualI: the DP skips (h−1, u)
+// once dist + LB[u] reaches it.
+func (m *model) pruneLimit(h int, dualI, eps float64) float64 {
+	return (m.layerW[h]*(1+pruneSlack) - dualI - eps) / (1 - pruneSlack)
+}
+
+// destSearch answers the layered DP's pruning test. It is a Dijkstra
+// search from the destination d over the edge costs (the segment graph is
+// undirected, so it settles each node's min-cost distance LB to d) that
+// runs only as far as the queries need: the search settles nodes in
+// order of LB, so once the next distance K to settle satisfies
+// dist + K ≥ limit, every unsettled node is known to be beyond the limit.
+// Each answer therefore equals the one the full search would give.
+type destSearch struct {
+	g       *graph.Graph
+	cost    []float64
+	lb      []float64
+	settled []bool
+	heap    graph.Queue
+}
+
+// reset starts a new search from d; lb and settled are sized by resize.
+func (s *destSearch) reset(g *graph.Graph, cost []float64, d int) {
+	s.g, s.cost = g, cost
+	for v := range s.lb {
+		s.lb[v] = math.Inf(1)
+		s.settled[v] = false
+	}
+	s.lb[d] = 0
+	s.heap = append(s.heap[:0], graph.QueueItem{Node: d, Dist: 0})
+}
+
+// beyond reports whether dist + LB[u] ≥ limit, settling only the nodes
+// closer to d than that takes to decide. Nodes d cannot reach are beyond
+// every limit.
+func (s *destSearch) beyond(u int, dist, limit float64) bool {
+	for !s.settled[u] {
+		for len(s.heap) > 0 && s.settled[s.heap[0].Node] {
+			s.heap.Pop()
+		}
+		if len(s.heap) == 0 {
+			return true
+		}
+		it := s.heap[0]
+		if dist+it.Dist >= limit {
+			return true
+		}
+		s.heap.Pop()
+		s.settled[it.Node] = true
+		for _, e := range s.g.Neighbors(it.Node) {
+			if s.settled[e.To] {
+				continue
+			}
+			if nd := it.Dist + s.cost[e.ID]; nd < s.lb[e.To] {
+				s.lb[e.To] = nd
+				s.heap.Push(graph.QueueItem{Node: e.To, Dist: nd})
+			}
+		}
+	}
+	return dist+s.lb[u] >= limit
 }
 
 func reconstruct(prevNode, prevEdge []int32, n, h, dst int) (graph.Path, []int) {

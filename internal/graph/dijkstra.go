@@ -69,24 +69,27 @@ func (r *ShortestResult) EdgesTo(t int) []int {
 	return rev
 }
 
-type pqItem struct {
-	node int
-	dist float64
+// QueueItem is one entry of a Queue: a node and its tentative distance.
+type QueueItem struct {
+	Node int
+	Dist float64
 }
 
-// priorityQueue is a binary min-heap on dist. push and pop are
-// container/heap's Push and Pop specialised to it: the same sift-up and
-// sift-down steps with the same comparisons, so items of equal distance
-// leave the heap in exactly the order heap.Pop would produce, without
-// boxing each item in an interface.
-type priorityQueue []pqItem
+// Queue is a binary min-heap on Dist for Dijkstra-style searches; a
+// search pushes a node again when its distance drops and skips stale
+// entries itself. Push and Pop are container/heap's Push and Pop
+// specialised to it: the same sift-up and sift-down steps with the same
+// comparisons, so items of equal distance leave the heap in exactly the
+// order heap.Pop would produce, without boxing each item in an interface.
+type Queue []QueueItem
 
-func (q *priorityQueue) push(it pqItem) {
+// Push adds it to the queue.
+func (q *Queue) Push(it QueueItem) {
 	h := append(*q, it)
 	*q = h
 	for j := len(h) - 1; ; {
 		i := (j - 1) / 2 // parent
-		if i == j || !(h[j].dist < h[i].dist) {
+		if i == j || !(h[j].Dist < h[i].Dist) {
 			break
 		}
 		h[i], h[j] = h[j], h[i]
@@ -94,7 +97,9 @@ func (q *priorityQueue) push(it pqItem) {
 	}
 }
 
-func (q *priorityQueue) pop() pqItem {
+// Pop removes and returns the item of least Dist; the queue must not be
+// empty.
+func (q *Queue) Pop() QueueItem {
 	h := *q
 	n := len(h) - 1
 	h[0], h[n] = h[n], h[0]
@@ -104,10 +109,10 @@ func (q *priorityQueue) pop() pqItem {
 			break
 		}
 		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h[j2].dist < h[j1].dist {
+		if j2 := j1 + 1; j2 < n && h[j2].Dist < h[j1].Dist {
 			j = j2 // right child
 		}
-		if !(h[j].dist < h[i].dist) {
+		if !(h[j].Dist < h[i].Dist) {
 			break
 		}
 		h[i], h[j] = h[j], h[i]

@@ -10,7 +10,7 @@ type DijkstraScratch struct {
 	prev     []int
 	prevEdge []int
 	done     []bool
-	pq       priorityQueue
+	pq       Queue
 }
 
 func (sc *DijkstraScratch) reset(n int) {
@@ -60,10 +60,10 @@ func (sc *DijkstraScratch) search(g *Graph, s, t int, opts DijkstraOptions, ban 
 		return
 	}
 	sc.dist[s] = 0
-	sc.pq.push(pqItem{node: s, dist: 0})
+	sc.pq.Push(QueueItem{Node: s, Dist: 0})
 	for len(sc.pq) > 0 {
-		it := sc.pq.pop()
-		u := it.node
+		it := sc.pq.Pop()
+		u := it.Node
 		if sc.done[u] {
 			continue
 		}
@@ -71,7 +71,7 @@ func (sc *DijkstraScratch) search(g *Graph, s, t int, opts DijkstraOptions, ban 
 		if u == t {
 			break
 		}
-		depart := it.dist
+		depart := it.Dist
 		if opts.NodeWeight != nil && u != s {
 			depart += opts.NodeWeight(u)
 		}
@@ -97,7 +97,7 @@ func (sc *DijkstraScratch) search(g *Graph, s, t int, opts DijkstraOptions, ban 
 				sc.dist[e.To] = nd
 				sc.prev[e.To] = u
 				sc.prevEdge[e.To] = e.ID
-				sc.pq.push(pqItem{node: e.To, dist: nd})
+				sc.pq.Push(QueueItem{Node: e.To, Dist: nd})
 			}
 		}
 	}

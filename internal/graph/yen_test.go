@@ -262,12 +262,12 @@ func referenceArcBanDijkstra(g *Graph, source int, opts DijkstraOptions, banned 
 }
 
 // refQueue is the original container/heap priority queue.
-type refQueue []pqItem
+type refQueue []QueueItem
 
 func (q refQueue) Len() int            { return len(q) }
-func (q refQueue) Less(i, j int) bool  { return q[i].dist < q[j].dist }
+func (q refQueue) Less(i, j int) bool  { return q[i].Dist < q[j].Dist }
 func (q refQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *refQueue) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
+func (q *refQueue) Push(x interface{}) { *q = append(*q, x.(QueueItem)) }
 func (q *refQueue) Pop() interface{} {
 	old := *q
 	n := len(old)
@@ -296,15 +296,15 @@ func referenceDijkstra(g *Graph, source int, opts DijkstraOptions) *ShortestResu
 	}
 	res.Dist[source] = 0
 	done := make([]bool, n)
-	pq := refQueue{{node: source, dist: 0}}
+	pq := refQueue{{Node: source, Dist: 0}}
 	for pq.Len() > 0 {
-		it := heap.Pop(&pq).(pqItem)
-		u := it.node
+		it := heap.Pop(&pq).(QueueItem)
+		u := it.Node
 		if done[u] {
 			continue
 		}
 		done[u] = true
-		depart := it.dist
+		depart := it.Dist
 		if opts.NodeWeight != nil && u != source {
 			depart += opts.NodeWeight(u)
 		}
@@ -327,7 +327,7 @@ func referenceDijkstra(g *Graph, source int, opts DijkstraOptions) *ShortestResu
 				res.Dist[e.To] = nd
 				res.prev[e.To] = u
 				res.prevEdge[e.To] = e.ID
-				heap.Push(&pq, pqItem{node: e.To, dist: nd})
+				heap.Push(&pq, QueueItem{Node: e.To, Dist: nd})
 			}
 		}
 	}

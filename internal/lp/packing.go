@@ -32,9 +32,12 @@ type PackingSolver struct {
 	// −(row+1).
 	basis   []int
 	inBasis []bool // per structural column
-	binv    [][]float64
-	xb      []float64
-	solved  bool
+	// binv is B⁻¹ stored column-major: binv[j][i] is entry (i, j). The
+	// entering direction B⁻¹·A_j and the pivot update then stream whole
+	// columns through contiguous memory. binv never holds −0 (see pivot).
+	binv   [][]float64
+	xb     []float64
+	solved bool
 
 	// Incrementally maintained views of the basis, kept in sync by
 	// pivot/resetBasis/refactorize so the solve loop and accessors stop
@@ -56,13 +59,6 @@ type PackingSolver struct {
 	// pivots counts total pivots across Solve calls (refactorization
 	// schedule and tests).
 	pivots int
-	// supBuf/supVal are pivot's reusable scratch for the nonzero support
-	// of the transformed pivot row: indices and, packed densely alongside,
-	// the row values at those indices, so the O(rows × support) update
-	// streams through contiguous memory instead of gathering from the
-	// m-wide pivot row on every pass.
-	supBuf []int32
-	supVal []float64
 	// dirBuf is SolveCtx's reusable entering-direction column B⁻¹·A_j.
 	dirBuf []float64
 	// colBuf is AddColumn's reusable entry-merge scratch.
@@ -98,9 +94,11 @@ func (s *PackingSolver) resetBasis() {
 	s.xb = append([]float64(nil), s.b...)
 	s.y = make([]float64, s.m) // all-slack basis has c_B = 0
 	s.slackInBasis = make([]bool, s.m)
+	// One backing array keeps the columns adjacent in memory.
+	cells := make([]float64, s.m*s.m)
 	for i := 0; i < s.m; i++ {
 		s.basis[i] = -(i + 1)
-		s.binv[i] = make([]float64, s.m)
+		s.binv[i] = cells[i*s.m : (i+1)*s.m : (i+1)*s.m]
 		s.binv[i][i] = 1
 		s.slackInBasis[i] = true
 	}
@@ -185,9 +183,8 @@ func (s *PackingSolver) computeDuals() {
 		if cb == 0 {
 			continue
 		}
-		row := s.binv[i]
-		for j := 0; j < s.m; j++ {
-			s.y[j] += cb * row[j]
+		for j, col := range s.binv {
+			s.y[j] += cb * col[i]
 		}
 	}
 }
@@ -241,26 +238,24 @@ func (s *PackingSolver) objOf(basisID int) float64 {
 	return 0 // slack
 }
 
-// columnInto writes B⁻¹·A_j for basis entry id into out.
+// columnInto writes B⁻¹·A_j for basis entry id into out. Each entry adds
+// one contiguous column of B⁻¹, so every out[i] sums its terms in entry
+// order.
 func (s *PackingSolver) columnInto(basisID int, out []float64) {
+	if basisID < 0 {
+		copy(out, s.binv[-basisID-1])
+		return
+	}
 	for i := range out {
 		out[i] = 0
 	}
-	if basisID >= 0 {
-		for _, e := range s.col[basisID].entries {
-			v := e.Value
-			if v == 0 {
-				continue
-			}
-			for i := 0; i < s.m; i++ {
-				out[i] += s.binv[i][e.Index] * v
-			}
+	for _, e := range s.col[basisID].entries {
+		v := e.Value
+		if v == 0 {
+			continue
 		}
-		return
-	}
-	r := -basisID - 1
-	for i := 0; i < s.m; i++ {
-		out[i] = s.binv[i][r]
+		// out − (−v)·col is out + v·col exactly: negation is exact.
+		subScaled(out, s.binv[e.Index], -v)
 	}
 }
 
@@ -402,52 +397,58 @@ func (s *PackingSolver) pivot(leave, entering int, dir []float64, theta, rc floa
 	}
 	s.xb[leave] = theta
 
-	// Elementary row transformation of B⁻¹, restricted to the nonzero
-	// support of the pivot row: zero pr[j] entries contribute f·0 = 0 to
-	// every row, so skipping them leaves the arithmetic bit-identical
-	// while basis inverses stay sparse (slack-heavy packing bases mostly
-	// are). The support values are packed into a dense companion slice so
-	// the per-row update streams (index, value) pairs from contiguous
-	// memory instead of re-gathering pr[j] across the m-wide pivot row
-	// once per basis row — same multiplies, same order, same bits.
-	pr := s.binv[leave]
+	// Elementary row transformation of B⁻¹, applied column by column:
+	// column j has pivot-row entry v = binv[j][leave]; it becomes v/d_r,
+	// and every other row i loses dir[i]·v/d_r. Columns with v = 0 are
+	// unchanged. dir[leave] is zeroed for the loop so the pivot row itself
+	// is only rescaled.
+	//
+	// The loop subtracts dir[i]·v on every row, also where dir[i] = 0, whose
+	// row a row-by-row update would skip. That is bit-identical because
+	// x − (±0) = x for every x except −0, and binv never holds −0: the
+	// identity and refactorize's output hold none, x − y is −0 only when x
+	// is −0, and v·inv of nonzero v is nonzero (short of underflow below
+	// 5e-324, which these magnitudes never reach).
 	inv := 1 / dir[leave]
-	sup := s.supBuf[:0]
-	val := s.supVal[:0]
-	for j, v := range pr {
-		if v != 0 {
-			v *= inv
-			pr[j] = v
-			sup = append(sup, int32(j))
-			val = append(val, v)
-		}
-	}
-	s.supBuf = sup
-	s.supVal = val
-	for i := range s.binv {
-		if i == leave {
+	d := dir[leave]
+	dir[leave] = 0
+	for j, col := range s.binv {
+		v := col[leave]
+		if v == 0 {
 			continue
 		}
-		f := dir[i]
-		if f == 0 {
-			continue
-		}
-		row := s.binv[i]
-		for k, j := range sup {
-			row[j] -= f * val[k]
-		}
-	}
-	// Dual update: with entering reduced cost rc and pivot element d_r,
-	// y' = y + (rc/d_r)·(B⁻¹)_r = y + rc·(B'⁻¹)_r — pr already holds the
-	// transformed row, so the O(m²) from-scratch product is unnecessary.
-	if rc != 0 {
-		for k, j := range sup {
-			s.y[j] += rc * val[k]
+		v *= inv
+		col[leave] = v
+		subScaled(col, dir, v)
+		// Dual update: with entering reduced cost rc and pivot element
+		// d_r, y' = y + (rc/d_r)·(B⁻¹)_r = y + rc·(B'⁻¹)_r, so v is the
+		// transformed row's entry and the O(m²) product is unnecessary.
+		if rc != 0 {
+			s.y[j] += rc * v
 		}
 	}
+	dir[leave] = d
 	s.pivots++
 	if s.pivots%2000 == 0 {
 		s.refactorize()
+	}
+}
+
+// subScaled sets dst[i] −= a·x[i] for every i < len(x), four entries per
+// step. Each entry is one rounded product and one rounded difference, as
+// in the plain loop; the unrolling only saves loop overhead.
+func subScaled(dst, x []float64, a float64) {
+	dst = dst[:len(x)]
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		d, v := dst[i:i+4:i+4], x[i:i+4:i+4]
+		d[0] -= a * v[0]
+		d[1] -= a * v[1]
+		d[2] -= a * v[2]
+		d[3] -= a * v[3]
+	}
+	for ; i < len(x); i++ {
+		dst[i] -= a * x[i]
 	}
 }
 
@@ -508,19 +509,25 @@ func (s *PackingSolver) refactorize() {
 			if f == 0 {
 				continue
 			}
-			for j := c; j < 2*m; j++ {
-				bmat[r][j] -= f * bmat[c][j]
-			}
+			subScaled(bmat[r][c:], bmat[c][c:], f)
 		}
 	}
+	// Transpose into the column-major binv. Scaling a zero by a negative
+	// pivot leaves −0 in bmat; storing +0 instead keeps pivot's invariant
+	// and changes no other value.
 	for i := 0; i < m; i++ {
-		copy(s.binv[i], bmat[i][m:])
+		for j, v := range bmat[i][m:] {
+			if v == 0 {
+				v = 0
+			}
+			s.binv[j][i] = v
+		}
 	}
 	// x_B = B⁻¹ b.
 	for i := 0; i < m; i++ {
 		var v float64
 		for j := 0; j < m; j++ {
-			v += s.binv[i][j] * s.b[j]
+			v += s.binv[j][i] * s.b[j]
 		}
 		if v < 0 && v > -1e-7 {
 			v = 0

@@ -274,7 +274,7 @@ func TestPackingIncrementalStateMatchesScratch(t *testing.T) {
 				continue
 			}
 			for j := 0; j < ps.m; j++ {
-				want[j] += cb * ps.binv[i][j]
+				want[j] += cb * ps.binv[j][i]
 			}
 		}
 		for j := range want {
